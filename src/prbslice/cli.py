@@ -9,7 +9,9 @@ Subcommands
 
 Exit codes: 0 success, 2 validation failure, 3 property failure, 4 solver
 failure (unsat/unknown/timeout/process error), 5 trace mismatch in
-differential mode.
+differential mode.  ``sweep`` writes its CSV in full either way, then exits 4
+if any cell is ``solver:*`` or ``error:*``, else 3 if any cell is
+``property:*``; skipped infeasible (config, budget) pairs do not count.
 """
 
 from __future__ import annotations
@@ -180,7 +182,7 @@ def _sweep_cell(args):
         config = _load_config(manifest)
     except (ConfigError, ValueError) as exc:
         row["status"] = f"skipped: {exc}"
-        return row, False
+        return row
     try:
         scenario = _load_scenario(manifest, config)
         if mode == "oracle":
@@ -190,7 +192,7 @@ def _sweep_cell(args):
             verdict = solve(script, timeout=timeout, command=solver_cmd)
             if verdict.status != "sat":
                 row["status"] = f"solver:{verdict.status}"
-                return row, True
+                return row
             trace = extract_trace(verdict, config, scenario)
             row["solver_wall_time"] = f"{verdict.wall_time:.3f}"
         metrics = compute_metrics(trace, config)
@@ -207,7 +209,7 @@ def _sweep_cell(args):
         })
     except Exception as exc:  # partial failures stay in the table
         row["status"] = f"error: {exc}"
-    return row, True
+    return row
 
 
 def cmd_sweep(config_paths: Sequence[str], prb_values: Sequence[int],
@@ -231,15 +233,11 @@ def cmd_sweep(config_paths: Sequence[str], prb_values: Sequence[int],
                 cells.append((path, prbs, seed, mode, solver_cmd, timeout,
                               horizon))
 
-    rows = []
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for row, _ in pool.map(_sweep_cell, cells):
-                rows.append(row)
+            rows = list(pool.map(_sweep_cell, cells))
     else:
-        for cell in cells:
-            row, _ = _sweep_cell(cell)
-            rows.append(row)
+        rows = [_sweep_cell(cell) for cell in cells]
 
     out = Path(out_path)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -250,6 +248,11 @@ def cmd_sweep(config_paths: Sequence[str], prb_values: Sequence[int],
     for note in skipped_notes:
         print(note, file=sys.stderr)
     print(f"wrote {len(rows)} rows to {out}")
+    statuses = [row["status"] for row in rows]
+    if any(st.startswith(("solver:", "error:")) for st in statuses):
+        return EXIT_SOLVER
+    if any(st.startswith("property:") for st in statuses):
+        return EXIT_PROPERTY
     return EXIT_OK
 
 

@@ -5,13 +5,16 @@ Each timestep contributes one block of assertions:
 * slice layer: user-count, window-entry, and usage/residual updates, then the
   top-up / ramp-down signal rules at window boundaries and their mutual
   exclusion;
-* partition layer: one guarded assertion per signal combination of the
-  partition's boundary slices, moving shares by the signalled caps and the
-  partition share by the net;
+* partition layer: at its window boundary each slice moves share and
+  residual by its own cap (up on top-up, down on ramp-down, held otherwise),
+  and each partition share moves by the sum of its members' moves;
 * system layer: the residual-overuse flag, the per-service entry rules
   (argmin over user counts for multi-slice services, lowest id on ties), and
-  one guarded assertion per combination of partition moves adjusting the
-  residual share.
+  one linear equation adding the partition moves back to the residual share.
+
+Both upper layers are linear sums: at each step they emit one assertion per
+slice, one per partition and one for the residual, so the script grows with
+N*T rather than with the number of signal combinations.
 
 Implications stated by the rules are made biconditional by explicit closure
 assertions (flags are false in every uncovered case) and shares are frozen by
@@ -28,14 +31,13 @@ move at the same boundary compose.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .model import NetworkConfig, constraint_count_bound
 from .scenario import ScenarioTrace
 
-# Single documented constant bounding emitted assertions against
-# constraint_count_bound(); covers closure/frame companions and sub-cases.
+# Emitted assertions may not exceed this multiple of constraint_count_bound(),
+# the paper's analytic bound on the per-timestep constraints.
 BOUND_MULTIPLIER = 2
 
 TAGS = (
@@ -92,14 +94,6 @@ def _imp(guard: str, body: str) -> str:
     return f"(=> {guard} {body})"
 
 
-def _plus(base: str, delta: int) -> str:
-    if delta > 0:
-        return f"(+ {base} {delta})"
-    if delta < 0:
-        return f"(- {base} {-delta})"
-    return base
-
-
 def encode(config: NetworkConfig, scenario: ScenarioTrace) -> ConstraintSet:
     """Build the full constraint system for (config, scenario)."""
     config.validate()
@@ -108,7 +102,6 @@ def encode(config: NetworkConfig, scenario: ScenarioTrace) -> ConstraintSet:
     horizon = config.horizon
     slices = sorted(config.slices, key=lambda s: s.slice_id)
     caps = {sl.slice_id: sl.usage_cap for sl in slices}
-    n = config.num_slices
     floor = config.overuse_floor
 
     decls: list[tuple[str, str]] = []
@@ -256,71 +249,38 @@ def encode(config: NetworkConfig, scenario: ScenarioTrace) -> ConstraintSet:
                 _imp(v_ramp(i, j), f"(not {v_top(i, j)})"),
             ))
 
-        # partition layer
+        # partition layer: a boundary slice moves by its own cap, the
+        # partition share by the sum of its members' moves
         for k in sorted(config.partitions):
-            members = config.partitions[k]
-            at_boundary = [i for i in members
-                           if j % config.slice_by_id(i).t_win == 0]
-            frozen = [i for i in members if i not in at_boundary]
-            hold = [
-                part
-                for i in frozen
-                for part in (f"(= {v_shr(i, j)} {v_shr(i, j - 1)})",
-                             f"(= {v_resi(i, j)} {v_rmid(i, j)})")
-            ]
-            if not at_boundary:
-                emit("frame",
-                     _and(f"(= {v_pt(k, j)} {v_pt(k, j - 1)})", *hold))
-                continue
-            # one guarded case per signal combination of the boundary slices
-            for combo in itertools.product((0, 1, 2), repeat=len(at_boundary)):
-                guards = []
-                body = list(hold)
-                net = 0
-                for i, sig in zip(at_boundary, combo):
-                    if sig == 1:
-                        guards.append(v_top(i, j))
-                        body.append(
-                            f"(= {v_shr(i, j)} (+ {v_shr(i, j - 1)} {caps[i]}))")
-                        body.append(
-                            f"(= {v_resi(i, j)} (+ {v_rmid(i, j)} {caps[i]}))")
-                        net += caps[i]
-                    elif sig == 2:
-                        guards.append(v_ramp(i, j))
-                        body.append(
-                            f"(= {v_shr(i, j)} (- {v_shr(i, j - 1)} {caps[i]}))")
-                        body.append(
-                            f"(= {v_resi(i, j)} (- {v_rmid(i, j)} {caps[i]}))")
-                        net -= caps[i]
-                    else:
-                        guards.append(_and(f"(not {v_top(i, j)})",
-                                           f"(not {v_ramp(i, j)})"))
-                        body.append(f"(= {v_shr(i, j)} {v_shr(i, j - 1)})")
-                        body.append(f"(= {v_resi(i, j)} {v_rmid(i, j)})")
-                body.append(f"(= {v_pt(k, j)} {_plus(v_pt(k, j - 1), net)})")
-                emit("partition-adjust", _imp(_and(*guards), _and(*body)))
-
-        # system layer: residual share, one case per partition-move combo
-        ks = sorted(config.partitions)
-        for combo in itertools.product((0, 1, 2), repeat=len(ks)):
-            guards = []
-            give_back = []   # (pt_prev - pt_now) terms, positive when freeing
-            for k, move in zip(ks, combo):
-                now, before = v_pt(k, j), v_pt(k, j - 1)
-                if move == 1:
-                    guards.append(f"(> {now} {before})")
-                    give_back.append(f"(- {before} {now})")
-                elif move == 2:
-                    guards.append(f"(< {now} {before})")
-                    give_back.append(f"(- {before} {now})")
-                else:
-                    guards.append(f"(= {now} {before})")
-            if give_back:
-                rhs = f"(+ {v_rp(j - 1)} {' '.join(give_back)})"
+            moves = []
+            for sl in config.partition_slices(k):
+                i, cap = sl.slice_id, sl.usage_cap
+                shr, shr_prev = v_shr(i, j), v_shr(i, j - 1)
+                resi, rmid = v_resi(i, j), v_rmid(i, j)
+                hold = _and(f"(= {shr} {shr_prev})", f"(= {resi} {rmid})")
+                if j % sl.t_win != 0:
+                    emit("frame", hold)
+                    continue
+                top, ramp = v_top(i, j), v_ramp(i, j)
+                emit("partition-adjust", _and(
+                    _imp(top, _and(f"(= {shr} (+ {shr_prev} {cap}))",
+                                   f"(= {resi} (+ {rmid} {cap}))")),
+                    _imp(ramp, _and(f"(= {shr} (- {shr_prev} {cap}))",
+                                    f"(= {resi} (- {rmid} {cap}))")),
+                    _imp(_and(f"(not {top})", f"(not {ramp})"), hold),
+                ))
+                moves.append(f"(- {shr} {shr_prev})")
+            if moves:
+                emit("partition-adjust", f"(= {v_pt(k, j)} "
+                     f"(+ {v_pt(k, j - 1)} {' '.join(moves)}))")
             else:
-                rhs = v_rp(j - 1)
-            emit("residual-adjust",
-                 _imp(_and(*guards), f"(= {v_rp(j)} {rhs})"))
+                emit("frame", f"(= {v_pt(k, j)} {v_pt(k, j - 1)})")
+
+        # system layer: the residual absorbs the net partition moves
+        give_back = " ".join(f"(- {v_pt(k, j - 1)} {v_pt(k, j)})"
+                             for k in sorted(config.partitions))
+        emit("residual-adjust",
+             f"(= {v_rp(j)} (+ {v_rp(j - 1)} {give_back}))")
 
     cs = ConstraintSet(declarations=tuple(decls), assertions=tuple(asserts))
     if horizon >= 1:

@@ -394,10 +394,12 @@ _COUNT_BOUND_LIMIT = 2 ** 63
 
 
 def constraint_count_bound(config: NetworkConfig) -> int:
-    """Upper bound on the number of per-timestep constraints of the encoding.
+    """The paper's analytic bound on the constraint count of the encoding.
 
     T * (6N + sum_k 3**r_k + 3**K + sum_mu 2*n_mu), where r_k is the slice
-    count of partition k and n_mu the slice count of service mu.
+    count of partition k and n_mu the slice count of service mu.  The paper
+    counts one case per signal combination; the encoder states the same
+    layers as linear sums and stays well below this bound.
     """
     n = config.num_slices
     per_partition = sum(3 ** len(v) for v in config.partitions.values())

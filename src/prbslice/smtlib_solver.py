@@ -233,7 +233,8 @@ def _free_vars(t, acc: set) -> None:
 
 def propagate(terms, env):
     """Exhaust forced assignments.  Returns (status, env, remaining) where
-    status is 'ok' or 'unsat'."""
+    status is 'ok', 'unsat', or 'unknown' when a ground term is left that
+    the evaluator cannot decide (e.g. an ite on an Int condition)."""
     pending: dict[int, object] = {}
     watch: dict[str, set] = {}
     queue = deque()
@@ -291,9 +292,7 @@ def propagate(terms, env):
         _free_vars(t, vs)
         vs -= env.keys()
         if not vs:
-            # ground but not decidable: unreachable for supported grammar
-            conflict[0] = True
-            break
+            return "unknown", env, []
         for v in vs:
             watch.setdefault(v, set()).add(aid)
 
@@ -306,8 +305,8 @@ def search(terms, env, sorts):
     """Propagation plus boolean splitting.  Returns ('sat', env), ('unsat',)
     or ('unknown',)."""
     status, env, remaining = propagate(terms, env)
-    if status == "unsat":
-        return ("unsat",)
+    if status != "ok":
+        return (status,)
     if not remaining:
         return ("sat", env)
     split = None

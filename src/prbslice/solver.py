@@ -132,7 +132,8 @@ def solve(
     elapsed = time.monotonic() - started
 
     status = None
-    for line in proc.stdout.splitlines():
+    lines = proc.stdout.splitlines()
+    for at, line in enumerate(lines):
         line = line.strip()
         if line in ("sat", "unsat", "unknown"):
             status = line
@@ -147,9 +148,8 @@ def solve(
     if status != "sat":
         return SolverVerdict(status=status, model=None, wall_time=elapsed)
 
-    tail = proc.stdout.split(status, 1)[1]
     try:
-        model = _parse_model(tail)
+        model = _parse_model("\n".join(lines[at + 1:]))
     except Exception as exc:
         raise SolverOutputError(f"could not parse model: {exc}") from exc
     return SolverVerdict(status="sat", model=model, wall_time=elapsed)

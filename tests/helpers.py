@@ -40,6 +40,27 @@ def two_premium_config(total_prbs=60, horizon=12) -> NetworkConfig:
     )
 
 
+def wide_config(K, r) -> NetworkConfig:
+    """K partitions of r slices each, 400 PRBs, T=30; slices alternate
+    between a premium and a normal service, so both own slices even when r
+    is 1."""
+    owners = [1 + i % 2 for i in range(K * r)]
+    return NetworkConfig(
+        services=tuple(
+            ServiceSpec(mu, name, mu, provision=owners.count(mu) > 1)
+            for mu, name in ((1, "eMBB-Premium"), (2, "eMBB-Normal"))),
+        slices=tuple(
+            SliceSpec(i, mu, 1 + (i - 1) // r,
+                      t_win=6 if mu == 1 else 8, m=2 if mu == 1 else 3)
+            for i, mu in enumerate(owners, start=1)),
+        partitions={k: tuple(range((k - 1) * r + 1, k * r + 1))
+                    for k in range(1, K + 1)},
+        total_prbs=400,
+        horizon=30,
+        name=f"wide-{K}x{r}",
+    )
+
+
 def constant_arrivals(config: NetworkConfig, pattern) -> ScenarioTrace:
     """Scenario with a fixed per-service arrival pattern and no departures.
 

@@ -179,6 +179,17 @@ class TestSweep:
         assert main(args + ["--jobs", "3", "--out", str(parallel)]) == EXIT_OK
         assert read_rows(serial) == read_rows(parallel)
 
+    def test_solver_failure_exits_nonzero_with_full_csv(self, tmp_path):
+        out = tmp_path / "fail.csv"
+        code = main(["sweep", "--config", C324, "--total-prbs", "200",
+                     "--seeds", "2", "--mode", "smt",
+                     "--solver-cmd", "definitely-not-a-solver-xyz",
+                     "--out", str(out)])
+        assert code == EXIT_SOLVER
+        rows = read_rows(out)
+        assert len(rows) == 2
+        assert all(r["status"].startswith("error:") for r in rows)
+
 
 class TestCompare:
     def test_gap_nonnegative(self, tmp_path):

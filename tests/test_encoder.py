@@ -11,11 +11,16 @@ from prbslice.encoder import (
     emit_smtlib,
 )
 from prbslice.model import ConfigError
-from prbslice.presets import PRESET_NAMES, preset_config, preset_scenario_spec
+from prbslice.oracle import diff_traces, simulate
+from prbslice.presets import (
+    PRESET_NAMES, default_scenario_spec, preset_config, preset_scenario_spec,
+)
+from prbslice.properties import check_all
 from prbslice.scenario import ScenarioTrace
 from prbslice.smtlib_solver import parse, tokenize
+from prbslice.solver import extract_trace, solve
 
-from helpers import single_slice_config
+from helpers import single_slice_config, wide_config
 
 DATA = Path(__file__).parent / "data"
 
@@ -97,6 +102,26 @@ class TestEncode:
                               departures=((True,),))
         with pytest.raises(Exception):
             encode(config, wrong)
+
+
+class TestWideLayouts:
+    """Wide and deep partition layouts stay linear in size and still agree
+    with the simulator state for state."""
+
+    @pytest.mark.parametrize("K, r", [(8, 1), (6, 2), (3, 7)])
+    def test_linear_size_and_exact_agreement(self, K, r):
+        config = wide_config(K, r)
+        scenario = default_scenario_spec(config).generate(config, 1)
+        cs = encode(config, scenario)
+        layer_tags = {"partition-adjust", "frame", "residual-adjust"}
+        upper = sum(1 for tag, _ in cs.assertions if tag in layer_tags)
+        assert upper <= (config.num_slices + K + 1) * config.horizon
+
+        verdict = solve(emit_smtlib(cs))
+        assert verdict.status == "sat"
+        trace = extract_trace(verdict, config, scenario)
+        assert diff_traces(simulate(config, scenario), trace) == []
+        assert check_all(trace, config).all_passed
 
 
 class TestGoldenSnapshot:

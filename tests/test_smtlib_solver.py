@@ -128,6 +128,11 @@ class TestSolving:
         """)
         assert out.strip() == "unknown"
 
+    def test_undecidable_ground_term_unknown(self):
+        out = run_script("(declare-const x Int)(assert (= x 1))"
+                         "(assert (ite x true false))(check-sat)")
+        assert out.strip() == "unknown"
+
     def test_negative_value_formatting(self):
         out = run_script("""
             (declare-const x Int)

@@ -66,6 +66,13 @@ class TestSolve:
             solve("(check-sat)",
                   command=[sys.executable, "-c", "print('sat'); print('((((')"])
 
+    def test_model_read_after_the_verdict_line(self):
+        banner = "print('; banner: sat) ready')"
+        verdict = solve("(check-sat)", command=[
+            sys.executable, "-c",
+            f"{banner}; print('sat'); print('((define-fun x () Int 3))')"])
+        assert verdict.model == {"x": 3}
+
     def test_script_file_template(self):
         verdict = solve(
             "(assert (= 1 1)) (check-sat)",
