@@ -5,57 +5,3 @@ a deterministic forward simulator and an SMT-LIB encoding solved by an
 external process, cross-checked state for state, with fairness and
 PRB-optimality invariants verified on every trace.
 """
-
-from .model import (
-    ConfigError,
-    NetworkConfig,
-    ServiceSpec,
-    SliceSpec,
-    ThroughputParams,
-    constraint_count_bound,
-    max_window_usage,
-    nominal_throughput,
-    throughput,
-)
-from .oracle import AllocationTrace, ForwardSimulator, SystemState, simulate
-from .scenario import DistributionSpec, ScenarioSpec, ScenarioTrace, gen_scenario
-from .encoder import ConstraintSet, encode, emit_smtlib
-from .solver import SolverVerdict, extract_trace, solve
-from .properties import (
-    MetricsBundle,
-    PropertyReport,
-    baseline_overprovision,
-    check_all,
-    compute_metrics,
-)
-
-__all__ = [
-    "AllocationTrace",
-    "ConfigError",
-    "ConstraintSet",
-    "DistributionSpec",
-    "ForwardSimulator",
-    "MetricsBundle",
-    "NetworkConfig",
-    "PropertyReport",
-    "ScenarioSpec",
-    "ScenarioTrace",
-    "ServiceSpec",
-    "SliceSpec",
-    "SolverVerdict",
-    "SystemState",
-    "ThroughputParams",
-    "baseline_overprovision",
-    "check_all",
-    "compute_metrics",
-    "constraint_count_bound",
-    "encode",
-    "emit_smtlib",
-    "extract_trace",
-    "gen_scenario",
-    "max_window_usage",
-    "nominal_throughput",
-    "simulate",
-    "solve",
-    "throughput",
-]

@@ -3,8 +3,11 @@
 Arrivals are produced per service: draw a value from the service's
 distribution at each timestep, look up its density (pdf) or mass (pmf), and
 raise the arrival flag when that probability value exceeds the configured
-threshold.  Departures are per-slice coin flips, filtered during a replay of
-the allocation semantics so a departure never fires on an empty slice.
+threshold.  Both are closed forms: the lognormal density
+``exp(-z**2/2) / (x * sigma * sqrt(2*pi))`` with ``z = (ln x - mu) / sigma``,
+and the poisson mass ``exp(k * ln(rate) - rate - lgamma(k + 1))``.
+Departures are per-slice coin flips, filtered during a replay of the
+allocation semantics so a departure never fires on an empty slice.
 
 Everything is a pure function of (spec, seed): the same inputs always give a
 bit-identical trace.
@@ -18,7 +21,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy import stats
 
 from .model import NetworkConfig
 
@@ -170,12 +172,14 @@ def gen_arrivals(spec: DistributionSpec, seed: int, horizon: int) -> list[bool]:
         mu = float(spec.params.get("mu", 0.0))
         sigma = float(spec.params["sigma"])
         draws = rng.lognormal(mean=mu, sigma=sigma, size=horizon)
-        dens = stats.lognorm.pdf(draws, s=sigma, scale=math.exp(mu))
+        z = (np.log(draws) - mu) / sigma
+        dens = np.exp(-z * z / 2) / (draws * sigma * math.sqrt(2 * math.pi))
         flags = dens > spec.threshold
     elif spec.kind == "poisson":
         rate = float(spec.params["rate"])
         draws = rng.poisson(lam=rate, size=horizon)
-        dens = stats.poisson.pmf(draws, rate)
+        dens = np.exp([k * math.log(rate) - rate - math.lgamma(k + 1)
+                       for k in draws.tolist()])
         flags = dens > spec.threshold
     else:
         p = float(spec.params["p"])

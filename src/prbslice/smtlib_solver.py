@@ -301,33 +301,39 @@ def propagate(terms, env):
     return "ok", env, list(pending.values())
 
 
-def search(terms, env, sorts):
-    """Propagation plus boolean splitting.  Returns ('sat', env), ('unsat',)
-    or ('unknown',)."""
-    status, env, remaining = propagate(terms, env)
-    if status != "ok":
-        return (status,)
-    if not remaining:
-        return ("sat", env)
-    split = None
+def _split_var(remaining, env, sorts):
+    """The first unassigned Bool, in name order, of the first remaining
+    term that has one; None when no term has one."""
     for t in remaining:
         vs: set = set()
         _free_vars(t, vs)
         for v in sorted(vs):
             if v not in env and sorts.get(v) == "Bool":
-                split = v
-                break
-        if split:
-            break
-    if split is None:
-        return ("unknown",)
+                return v
+    return None
+
+
+def search(terms, env, sorts):
+    """Propagation plus depth-first boolean splitting, true before false,
+    on an explicit stack so the depth is not bounded by Python's recursion
+    limit.  Returns ('sat', env) for the first satisfying leaf, else
+    ('unknown',) if any leaf was undecided, else ('unsat',)."""
+    stack = [(terms, env)]
     saw_unknown = False
-    for val in (True, False):
-        result = search(remaining + [["=", split, val]], dict(env), sorts)
-        if result[0] == "sat":
-            return result
-        if result[0] == "unknown":
+    while stack:
+        terms, env = stack.pop()
+        status, env, remaining = propagate(terms, env)
+        if status != "ok":
+            saw_unknown = saw_unknown or status == "unknown"
+            continue
+        if not remaining:
+            return ("sat", env)
+        split = _split_var(remaining, env, sorts)
+        if split is None:
             saw_unknown = True
+            continue
+        stack.append((remaining + [["=", split, False]], dict(env)))
+        stack.append((remaining + [["=", split, True]], env))
     return ("unknown",) if saw_unknown else ("unsat",)
 
 

@@ -4,9 +4,12 @@ The solver is an ordinary subprocess speaking SMT-LIB 2 text: script in
 (stdin, or a temp file when the command template contains ``{script}``),
 ``sat``/``unsat``/``unknown`` plus ``(define-fun ...)`` model entries out.
 The command comes from, in order: the explicit argument, the
-``PRBSLICE_SOLVER_CMD`` environment variable, or the bundled solver
-(``python -m prbslice.smtlib_solver``).  Any SMT-LIB-conformant solver can be
-dropped in; z3's and cvc5's default model output both parse.
+``PRBSLICE_SOLVER_CMD`` environment variable, or the bundled solver.  The
+bundled solver is launched as a plain file, ``python -S
+<package dir>/smtlib_solver.py``: it imports only the standard library, so
+the child loads no package module and needs neither ``site`` nor the
+package on ``PYTHONPATH``.  Any SMT-LIB-conformant solver can be dropped in;
+z3's and cvc5's default model output both parse.
 """
 
 from __future__ import annotations
@@ -55,7 +58,9 @@ class SolverVerdict:
 
 
 def default_solver_command() -> list[str]:
-    return [sys.executable, "-m", "prbslice.smtlib_solver"]
+    return [sys.executable, "-S",
+            os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                         "smtlib_solver.py")]
 
 
 def resolve_solver_command(command: str | Sequence[str] | None) -> list[str]:

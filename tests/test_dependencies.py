@@ -1,0 +1,48 @@
+"""The package needs only the standard library and numpy, and the bundled
+solver only the standard library, so that it can run as a bare file."""
+
+import ast
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "prbslice"
+
+
+def imports(path: Path) -> list[tuple[int, str]]:
+    """(relative level, top-level module name) of every import in the file,
+    function-local ones included; a bare ``from . import x`` gives ''."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            found += [(0, alias.name.split(".")[0]) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            found.append((node.level, (node.module or "").split(".")[0]))
+    return found
+
+
+def test_numpy_is_the_only_third_party_import():
+    third_party = {
+        (path.name, name)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for level, name in imports(path)
+        if level == 0 and name not in sys.stdlib_module_names
+    }
+    assert {name for _, name in third_party} <= {"numpy"}, third_party
+
+
+def test_bundled_solver_imports_only_the_standard_library():
+    found = imports(PACKAGE / "smtlib_solver.py")
+    assert found
+    assert [(level, name) for level, name in found
+            if level != 0 or name not in sys.stdlib_module_names] == []
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        deps = tomllib.load(fh)["project"]["dependencies"]
+    assert [re.match(r"[\w.-]+", d).group() for d in deps] == ["numpy"]

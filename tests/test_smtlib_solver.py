@@ -133,6 +133,19 @@ class TestSolving:
                          "(assert (ite x true false))(check-sat)")
         assert out.strip() == "unknown"
 
+    def test_deep_split_chain_within_small_recursion_limit(self):
+        # 300 nested splits, solved under a recursion limit of 100
+        clauses = "".join(f"(declare-const a{i} Bool)(declare-const b{i} Bool)"
+                          f"(assert (or a{i} b{i}))" for i in range(300))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from prbslice.smtlib_solver import main; "
+             "sys.setrecursionlimit(100); sys.exit(main())"],
+            input=clauses + "(check-sat)",
+            capture_output=True, text=True, timeout=30)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "sat"
+
     def test_negative_value_formatting(self):
         out = run_script("""
             (declare-const x Int)
@@ -195,6 +208,13 @@ class TestMainEntry:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert proc.stdout.strip() == "sat"
+
+    def test_module_launch_prints_no_warning(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "prbslice.smtlib_solver"],
+            input="(check-sat)\n", capture_output=True, text=True)
+        assert proc.stdout.strip() == "sat"
+        assert proc.stderr == ""
 
     def test_file_argument(self, tmp_path):
         path = tmp_path / "probe.smt2"

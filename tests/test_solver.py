@@ -80,6 +80,11 @@ class TestSolve:
                      "{script}"])
         assert verdict.status == "sat"
 
+    def test_default_launch_needs_no_pythonpath(self, monkeypatch):
+        monkeypatch.delenv("PYTHONPATH", raising=False)
+        monkeypatch.delenv("PRBSLICE_SOLVER_CMD", raising=False)
+        assert solve("(check-sat)").status == "sat"
+
     def test_env_var_respected(self, monkeypatch):
         monkeypatch.setenv("PRBSLICE_SOLVER_CMD",
                            f"{sys.executable} -m prbslice.smtlib_solver")
