@@ -68,6 +68,16 @@ TRACE_CSV_COLUMNS = (
 )
 
 
+def check_timesteps(states: Sequence[SystemState], horizon: int) -> None:
+    """Raise ValueError unless the states are j = 0..horizon, in order."""
+    got = [st.j for st in states]
+    want = list(range(horizon + 1))
+    if got != want:
+        missing = sorted(set(want) - set(got))
+        raise ValueError(f"trace states must be j = 0..{horizon} in order; "
+                         f"missing j = {missing}, got {len(got)} states")
+
+
 @dataclass(frozen=True)
 class AllocationTrace:
     """States for j = 0..T plus references to what produced them."""
@@ -120,6 +130,8 @@ class AllocationTrace:
                 rp_shr=int(any_row["rp_shr"]),
                 rp_ovr=bool(int(any_row["rp_ovr"])),
             ))
+        # the CSV may hold a shorter run than config.horizon, but no gap
+        check_timesteps(states, max(rows_by_j, default=-1))
         return cls(config=config, scenario=None, states=tuple(states))
 
     def to_json(self) -> str:

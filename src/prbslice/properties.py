@@ -20,7 +20,9 @@ from fractions import Fraction
 from typing import Optional
 
 from .model import ConfigError, NetworkConfig, ThroughputParams, nominal_throughput
-from .oracle import AllocationTrace, SliceState, SystemState, assign_users
+from .oracle import (
+    AllocationTrace, SliceState, SystemState, assign_users, check_timesteps,
+)
 
 # The ten trace invariants of the forward semantics, in reporting order.
 ORACLE_INVARIANTS = (
@@ -98,7 +100,9 @@ def _mid_residual(sl: SliceState, cap: int) -> int:
 
 
 def check_all(trace: AllocationTrace, config: NetworkConfig) -> PropertyReport:
-    """Evaluate every invariant over the complete trace."""
+    """Evaluate every invariant over the complete trace; a trace whose
+    states are not j = 0..horizon in order raises ValueError."""
+    check_timesteps(trace.states, config.horizon)
     caps = [config.slice_by_id(i).usage_cap
             for i in range(1, config.num_slices + 1)]
     wins = [config.slice_by_id(i).t_win

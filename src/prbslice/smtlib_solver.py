@@ -12,10 +12,25 @@ on boolean variables when propagation stalls.  Underdetermined integer
 systems are answered ``unknown`` rather than guessed.  It knows nothing about
 the rest of this package; it only interprets the script text.
 
+Propagation keeps one assignment and works in time linear in the script:
+each term keeps its residual (the term simplified so far), and the first
+time a term stalls it joins the watch list of every variable left in it, so
+an assignment re-simplifies only the terms that watch that variable.  Every
+change is logged on a trail.  A split assigns one Bool (true before false):
+the first unassigned one, in name order, of the lowest-id open term that has
+one, where the assertions are ids 0..n-1 in script order and a conjunct
+split off an ``and`` gets the next free id.  It propagates from that
+decision alone, and a failed branch is undone from the trail.  The verdict
+is ``sat`` for the first leaf where every term holds (and the model passes a
+re-check of every assertion), else ``unknown`` if any leaf was undecided,
+else ``unsat``.  ``(get-info :all-statistics)`` reports, for the last
+``check-sat``, ``:propagations`` (terms simplified), ``:splits`` (split
+variables chosen) and ``:conflicts`` (branches closed by a conflict).
+
 Supported commands: set-logic, set-info, set-option, declare-const,
-declare-fun (zero arity), assert, check-sat, get-model, echo, exit.
-Supported theory symbols: true false not and or => xor ite = distinct
-+ - * div mod abs < <= > >=.
+declare-fun (zero arity), assert, check-sat, get-model, get-info, echo,
+exit.  Supported theory symbols: true false not and or => xor ite =
+distinct + - * div mod abs < <= > >=.
 """
 
 from __future__ import annotations
@@ -26,6 +41,7 @@ from collections import deque
 
 _TOKEN = re.compile(r"[()]|[^()\s]+")
 _INT = re.compile(r"-?\d+\Z")
+STATISTICS = (":propagations", ":splits", ":conflicts")
 
 
 class SmtError(Exception):
@@ -46,7 +62,10 @@ def _atom(tok: str):
         return True
     if tok == "false":
         return False
-    if _INT.match(tok):
+    # only a token starting with '-' or a digit can match _INT; the cheap
+    # test spares the regex on every symbol
+    c = tok[0]
+    if (c == "-" or c.isdigit()) and _INT.match(tok):
         return int(tok)
     return tok
 
@@ -95,14 +114,23 @@ def _emod(a: int, b: int) -> int:
     return m
 
 
+def _all_vals(args) -> bool:
+    for a in args:
+        if type(a) is not int and type(a) is not bool:
+            return False
+    return True
+
+
 def simplify(t, env):
     """Partial evaluation of a term under a partial assignment."""
-    if _is_val(t):
-        return t
-    if isinstance(t, str):
+    if type(t) is str:
         return env.get(t, t)
+    if type(t) is not list:
+        return t
     op = t[0]
-    args = [simplify(x, env) for x in t[1:]]
+    args = [env.get(x, x) if type(x) is str
+            else simplify(x, env) if type(x) is list else x
+            for x in t[1:]]
 
     if op == "and":
         out = []
@@ -128,7 +156,7 @@ def simplify(t, env):
         a = args[0]
         if type(a) is bool:
             return not a
-        if isinstance(a, list) and a[0] == "not":
+        if type(a) is list and a[0] == "not":
             return a[1]
         return ["not", a]
     if op == "=>":
@@ -146,12 +174,12 @@ def simplify(t, env):
                 result = ["=>", a, result]
         return result
     if op == "=":
-        if all(_is_val(a) for a in args):
+        if _all_vals(args):
             return all(a == args[0] and type(a) is type(args[0])
                        for a in args[1:])
         return ["="] + args
     if op == "distinct":
-        if all(_is_val(a) for a in args):
+        if _all_vals(args):
             return len(set(args)) == len(args)
         return ["distinct"] + args
     if op == "ite":
@@ -184,7 +212,7 @@ def simplify(t, env):
     if op == "-":
         if len(args) == 1:
             return -args[0] if _is_val(args[0]) else ["-", args[0]]
-        if all(_is_val(a) for a in args):
+        if _all_vals(args):
             acc = args[0]
             for a in args[1:]:
                 acc -= a
@@ -206,17 +234,17 @@ def simplify(t, env):
             return rest[0]
         return ["*"] + rest + ([const] if const != 1 else [])
     if op == "div":
-        if all(_is_val(a) for a in args):
+        if _all_vals(args):
             return _ediv(args[0], args[1])
         return ["div"] + args
     if op == "mod":
-        if all(_is_val(a) for a in args):
+        if _all_vals(args):
             return _emod(args[0], args[1])
         return ["mod"] + args
     if op == "abs":
         return abs(args[0]) if _is_val(args[0]) else ["abs", args[0]]
     if op in ("<", "<=", ">", ">="):
-        if all(_is_val(a) for a in args):
+        if _all_vals(args):
             a, b = args
             return {"<": a < b, "<=": a <= b, ">": a > b, ">=": a >= b}[op]
         return [op] + args
@@ -231,110 +259,189 @@ def _free_vars(t, acc: set) -> None:
             _free_vars(a, acc)
 
 
-def propagate(terms, env):
-    """Exhaust forced assignments.  Returns (status, env, remaining) where
-    status is 'ok', 'unsat', or 'unknown' when a ground term is left that
-    the evaluator cannot decide (e.g. an ite on an Int condition)."""
-    pending: dict[int, object] = {}
-    watch: dict[str, set] = {}
-    queue = deque()
-    conflict = [False]
-    next_id = [0]
-
-    def enqueue(term):
-        pending[next_id[0]] = term
-        queue.append(next_id[0])
-        next_id[0] += 1
-
-    def assign(var, val):
-        if var in env:
-            if env[var] != val or type(env[var]) is not type(val):
-                conflict[0] = True
-            return
-        env[var] = val
-        for aid in watch.pop(var, ()):
-            queue.append(aid)
-
-    for t in terms:
-        enqueue(t)
-
-    while queue and not conflict[0]:
-        aid = queue.popleft()
-        term = pending.pop(aid, None)
-        if term is None:
-            continue
-        t = simplify(term, env)
-        if t is True:
-            continue
-        if t is False:
-            conflict[0] = True
-            break
-        if isinstance(t, str):
-            assign(t, True)
-            continue
-        if t[0] == "not" and isinstance(t[1], str):
-            assign(t[1], False)
-            continue
-        if t[0] == "and":
-            for sub in t[1:]:
-                enqueue(sub)
-            continue
-        if t[0] == "=" and len(t) == 3:
-            a, b = t[1], t[2]
-            if isinstance(a, str) and _is_val(b):
-                assign(a, b)
-                continue
-            if isinstance(b, str) and _is_val(a):
-                assign(b, a)
-                continue
-        pending[aid] = t
-        vs: set = set()
-        _free_vars(t, vs)
-        vs -= env.keys()
-        if not vs:
-            return "unknown", env, []
-        for v in vs:
-            watch.setdefault(v, set()).add(aid)
-
-    if conflict[0]:
-        return "unsat", env, []
-    return "ok", env, list(pending.values())
-
-
-def _split_var(remaining, env, sorts):
-    """The first unassigned Bool, in name order, of the first remaining
-    term that has one; None when no term has one."""
-    for t in remaining:
-        vs: set = set()
-        _free_vars(t, vs)
-        for v in sorted(vs):
-            if v not in env and sorts.get(v) == "Bool":
-                return v
+def _unit(t):
+    """The (variable, value) a residual forces by itself, else None."""
+    if isinstance(t, str):
+        return t, True
+    if t[0] == "not" and isinstance(t[1], str):
+        return t[1], False
+    if t[0] == "=" and len(t) == 3:
+        a, b = t[1], t[2]
+        if isinstance(a, str) and _is_val(b):
+            return a, b
+        if isinstance(b, str) and _is_val(a):
+            return b, a
     return None
 
 
-def search(terms, env, sorts):
-    """Propagation plus depth-first boolean splitting, true before false,
-    on an explicit stack so the depth is not bounded by Python's recursion
-    limit.  Returns ('sat', env) for the first satisfying leaf, else
-    ('unknown',) if any leaf was undecided, else ('unsat',)."""
-    stack = [(terms, env)]
-    saw_unknown = False
-    while stack:
-        terms, env = stack.pop()
-        status, env, remaining = propagate(terms, env)
+class Propagator:
+    """Terms under one assignment, with a trail to undo it.
+
+    Term ids: the assertions are 0..n-1 in script order, and each conjunct
+    split off an ``and`` residual gets the next free id.  ``residual[tid]``
+    is the term simplified under ``env``, True once satisfied.  The first
+    time a term stalls, the free variables of its residual are computed and
+    the term joins each one's watch list; after that it is simplified again
+    only when one of them is assigned.  Every change (assignment, residual,
+    new term, watch registration) is logged on ``trail``, newest last."""
+
+    def __init__(self, assertions):
+        self.env: dict = {}
+        self.residual: list = []
+        self.vars: list = []        # free variables at first stall, else None
+        self.watch: dict[str, list] = {}
+        self.trail: list = []
+        self.queue = deque()
+        self.open = 0               # terms whose residual is not True
+        self.stats = dict.fromkeys(STATISTICS, 0)
+        for t in assertions:
+            self._new(t)
+
+    def _new(self, term) -> None:
+        tid = len(self.residual)
+        self.residual.append(term)
+        self.vars.append(None)
+        self.trail.append(("new", tid, None))
+        self.open += term is not True
+        self.queue.append(tid)
+
+    def assign(self, var, val) -> bool:
+        """Assign and wake the watchers; False on a clash."""
+        env = self.env
+        if var in env:
+            return env[var] == val and type(env[var]) is type(val)
+        env[var] = val
+        self.trail.append(("set", var, None))
+        residual, queue = self.residual, self.queue
+        for tid in self.watch.get(var, ()):
+            if residual[tid] is not True:
+                queue.append(tid)
+        return True
+
+    def undo(self, mark: int) -> None:
+        """Take back every change logged after ``mark``."""
+        trail, residual = self.trail, self.residual
+        while len(trail) > mark:
+            kind, key, old = trail.pop()
+            if kind == "set":
+                del self.env[key]
+            elif kind == "term":
+                if residual[key] is True:
+                    self.open += 1
+                residual[key] = old
+            elif kind == "watch":
+                for v in self.vars[key]:
+                    self.watch[v].pop()
+                self.vars[key] = None
+            else:               # "new": the term is the last one
+                self.open -= residual.pop() is not True
+                self.vars.pop()
+
+    def propagate(self) -> str:
+        """Simplify queued terms until no assignment is forced.  Returns
+        'ok', 'unsat' on a conflict, or 'unknown' when a stalled term has
+        no unassigned variable left, i.e. a ground term the evaluator
+        cannot decide (e.g. an ite on an Int condition)."""
+        env, residual, queue, trail = (self.env, self.residual, self.queue,
+                                       self.trail)
+        status = "ok"
+        while queue:
+            tid = queue.popleft()
+            term = residual[tid]
+            if term is True:
+                continue
+            self.stats[":propagations"] += 1
+            t = simplify(term, env)
+            if t is False:
+                status = "unsat"
+                break
+            trail.append(("term", tid, term))
+            unit = None
+            if t is not True:
+                unit = _unit(t)
+                if unit is not None:
+                    t = True
+                elif t[0] == "and":
+                    for sub in t[1:]:
+                        self._new(sub)
+                    t = True
+            residual[tid] = t
+            if t is True:
+                self.open -= 1
+                if unit is not None and not self.assign(*unit):
+                    status = "unsat"
+                    break
+                continue
+            vs = self.vars[tid]
+            if vs is None:
+                found: set = set()
+                _free_vars(t, found)
+                self.vars[tid] = vs = tuple(found)
+                for v in vs:
+                    self.watch.setdefault(v, []).append(tid)
+                trail.append(("watch", tid, None))
+            if all(v in env for v in vs):
+                status = "unknown"
+                break
         if status != "ok":
-            saw_unknown = saw_unknown or status == "unknown"
-            continue
-        if not remaining:
-            return ("sat", env)
-        split = _split_var(remaining, env, sorts)
-        if split is None:
+            queue.clear()
+            self.stats[":conflicts"] += status == "unsat"
+        return status
+
+    def split_var(self, first: int, sorts):
+        """The first unassigned Bool, in name order, of the residual of the
+        lowest-id open term that has one, scanning from id ``first``.
+        Returns (var or None, id to scan from next time)."""
+        residual, env = self.residual, self.env
+        while first < len(residual):
+            t = residual[first]
+            if t is not True:
+                found: set = set()
+                _free_vars(t, found)
+                for v in sorted(found):
+                    if v not in env and sorts.get(v) == "Bool":
+                        return v, first
+            first += 1
+        return None, first
+
+
+def search(prop: Propagator, sorts):
+    """Propagation plus depth-first boolean splitting on one assignment.
+
+    When propagation stalls with open terms left, split on the first
+    unassigned Bool, in name order, of the lowest-id open term that has
+    one (see ``Propagator`` for the ids), true before false.  A split
+    assigns only the decision variable and propagates from its watchers;
+    a failed branch is undone from the trail.  The pending false branches
+    live on an explicit stack, so the depth is not bounded by Python's
+    recursion limit.  A term with no unassigned Bool stays without one
+    deeper in the branch, so each frame also keeps the id to scan from.
+    Returns ('sat', env) for the first satisfying leaf, else ('unknown',)
+    if any leaf was undecided, else ('unsat',)."""
+    stack = []                  # (variable, trail mark, first id to scan)
+    first = 0
+    saw_unknown = False
+    status = prop.propagate()
+    while True:
+        if status == "ok":
+            if not prop.open:
+                return ("sat", prop.env)
+            var, first = prop.split_var(first, sorts)
+            if var is not None:
+                prop.stats[":splits"] += 1
+                stack.append((var, len(prop.trail), first))
+                prop.assign(var, True)
+                status = prop.propagate()
+                continue
             saw_unknown = True
-            continue
-        stack.append((remaining + [["=", split, False]], dict(env)))
-        stack.append((remaining + [["=", split, True]], env))
-    return ("unknown",) if saw_unknown else ("unsat",)
+        elif status == "unknown":
+            saw_unknown = True
+        if not stack:
+            return ("unknown",) if saw_unknown else ("unsat",)
+        var, mark, first = stack.pop()
+        prop.undo(mark)
+        prop.assign(var, False)
+        status = prop.propagate()
 
 
 def _fmt_value(v) -> str:
@@ -351,6 +458,7 @@ class Interpreter:
         self.assertions: list = []
         self.result: str | None = None
         self.model: dict | None = None
+        self.stats = dict.fromkeys(STATISTICS, 0)
 
     def declare(self, name: str, sort: str) -> None:
         if name in self.sorts:
@@ -361,7 +469,9 @@ class Interpreter:
         self.order.append(name)
 
     def check_sat(self) -> None:
-        outcome = search(list(self.assertions), {}, self.sorts)
+        prop = Propagator(self.assertions)
+        outcome = search(prop, self.sorts)
+        self.stats = prop.stats
         if outcome[0] != "sat":
             self.result = outcome[0]
             self.model = None
@@ -392,6 +502,13 @@ class Interpreter:
                   f"{_fmt_value(self.model[name])})", file=self.out)
         print(")", file=self.out)
 
+    def get_info(self, key) -> None:
+        if key != ":all-statistics":
+            print("unsupported", file=self.out)
+            return
+        print("(" + "\n ".join(f"{k} {v}" for k, v in self.stats.items())
+              + ")", file=self.out)
+
     def run(self, text: str) -> None:
         for form in parse(tokenize(text)):
             if not isinstance(form, list) or not form:
@@ -413,6 +530,8 @@ class Interpreter:
                 self.check_sat()
             elif cmd == "get-model":
                 self.get_model()
+            elif cmd == "get-info":
+                self.get_info(form[1])
             elif cmd == "exit":
                 return
             else:

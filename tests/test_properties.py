@@ -1,12 +1,13 @@
 import csv
 import io
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from prbslice.model import ConfigError, throughput
-from prbslice.oracle import simulate
+from prbslice.oracle import AllocationTrace, simulate
 from prbslice.presets import preset_config
 from prbslice.properties import (
     ALL_INVARIANTS,
@@ -60,6 +61,29 @@ class TestCheckAllPasses:
         for config, _, trace in (saturating_run, oscillating_run,
                                  premium_run):
             assert check_all(trace, config).all_passed
+
+
+class TestTimesteps:
+    def test_csv_missing_a_timestep_rejected(self, small_run):
+        config, _, trace = small_run
+        lines = trace.to_csv().splitlines(keepends=True)
+        kept = [ln for ln in lines if not ln.startswith("5,")]
+        assert len(kept) == len(lines) - config.num_slices
+        with pytest.raises(ValueError, match=r"missing j = \[5\]"):
+            AllocationTrace.from_csv("".join(kept), config)
+
+    @pytest.mark.parametrize("cut", ["last", "middle", "swap"])
+    def test_check_all_rejects_gaps_and_disorder(self, small_run, cut):
+        config, _, trace = small_run
+        states = list(trace.states)
+        if cut == "last":
+            del states[-1]
+        elif cut == "middle":
+            del states[5]
+        else:
+            states[4], states[5] = states[5], states[4]
+        with pytest.raises(ValueError, match="j = 0..30 in order"):
+            check_all(replace(trace, states=tuple(states)), config)
 
 
 class TestInjectedFaults:

@@ -1,9 +1,15 @@
+import hashlib
 import io
+import itertools
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from prbslice.encoder import emit_smtlib, encode
+from prbslice.presets import PRESET_NAMES, preset_config, preset_scenario_spec
+from prbslice.solver import default_solver_command
 from prbslice.smtlib_solver import (
     Interpreter,
     SmtError,
@@ -11,6 +17,8 @@ from prbslice.smtlib_solver import (
     simplify,
     tokenize,
 )
+
+BOOLS = ("p0", "p1", "p2", "p3", "p4")
 
 
 def run_script(text: str) -> str:
@@ -198,6 +206,119 @@ class TestSolving:
         """)
         assert "(define-fun top () Bool true)" in out
         assert "(define-fun shr () Int 10)" in out
+
+
+def statistics(text: str) -> dict:
+    form = parse(tokenize(run_script(text + "(get-info :all-statistics)")))[-1]
+    return dict(zip(form[::2], form[1::2]))
+
+
+def independent_clauses(n: int) -> str:
+    return "".join(f"(declare-const a{i} Bool)(declare-const b{i} Bool)"
+                   f"(assert (or a{i} b{i}))" for i in range(n)) + "(check-sat)"
+
+
+def formulas(depth):
+    leaf = st.sampled_from(BOOLS + ("true", "false"))
+    if depth == 0:
+        return leaf
+    sub = formulas(depth - 1)
+    return st.one_of(
+        leaf,
+        st.tuples(st.sampled_from(("and", "or", "=>", "xor", "=")),
+                  st.lists(sub, min_size=2, max_size=3)).map(
+            lambda p: f"({p[0]} {' '.join(p[1])})"),
+        sub.map(lambda a: f"(not {a})"),
+        st.tuples(sub, sub, sub).map(lambda p: f"(ite {' '.join(p)})"),
+    )
+
+
+class TestStatistics:
+    def test_all_statistics_reports_counters(self):
+        stats = statistics("(declare-const a Bool)(declare-const b Bool)"
+                           "(declare-const c Bool)(assert (or a b))"
+                           "(assert (=> a c))(assert (=> a (not c)))"
+                           "(check-sat)")
+        # 3 initial simplifications stall; a = true wakes all three and
+        # the third clashes with c; a = false wakes them again
+        assert stats == {":propagations": 9, ":splits": 1, ":conflicts": 1}
+
+    def test_statistics_zero_before_check_sat(self):
+        assert statistics("") == {
+            ":propagations": 0, ":splits": 0, ":conflicts": 0}
+
+    def test_other_info_unsupported(self):
+        assert run_script("(get-info :reason-unknown)").strip() == "unsupported"
+
+    def test_split_work_grows_linearly(self):
+        # each split only wakes the clause that watches the decision, so
+        # twice the clauses cost twice the propagations, not four times
+        small = statistics(independent_clauses(200))
+        large = statistics(independent_clauses(400))
+        assert (small[":splits"], large[":splits"]) == (200, 400)
+        assert large[":propagations"] <= 2.5 * small[":propagations"]
+
+
+class TestBacktracking:
+    def test_failed_branch_is_undone(self):
+        # p0 = true leaves (xor p3 p4) and (= p3 p4), which both values of
+        # p3 refute; after undoing that branch, the first clause is open
+        # again and must be split on once more
+        out = run_script("""
+            (declare-const p0 Bool) (declare-const p1 Bool)
+            (declare-const p2 Bool) (declare-const p3 Bool)
+            (declare-const p4 Bool)
+            (assert (or p0 p1 p2))
+            (assert (=> p0 (xor p3 p4)))
+            (assert (=> p0 (= p3 p4)))
+            (check-sat) (get-model) (get-info :all-statistics)
+        """)
+        assert out.splitlines()[0] == "sat"
+        assert "(define-fun p0 () Bool false)" in out
+        assert "(define-fun p1 () Bool true)" in out
+        assert ":splits 3" in out and ":conflicts 2" in out
+
+
+class TestSearchAgainstEnumeration:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(formulas(3), min_size=1, max_size=6))
+    def test_verdict_and_model_match_truth_tables(self, assertions):
+        text = "".join(f"(declare-const {v} Bool)" for v in BOOLS)
+        text += "".join(f"(assert {a})" for a in assertions)
+        out = run_script(text + "(check-sat)(get-model)").splitlines()
+        terms = [form[1] for form in parse(tokenize(text))
+                 if form[0] == "assert"]
+        satisfiable = any(
+            all(simplify(t, dict(zip(BOOLS, values))) is True for t in terms)
+            for values in itertools.product((False, True), repeat=len(BOOLS)))
+        assert out[0] == ("sat" if satisfiable else "unsat")
+        if satisfiable:
+            model = {form[1]: form[4]
+                     for form in parse(tokenize("\n".join(out[1:])))[0]}
+            assert all(simplify(t, model) is True for t in terms)
+
+
+class TestPinnedOutput:
+    def test_preset_solver_stdout_hash_pinned(self):
+        # SHA-256 over the bundled solver's stdout, verdict and model, for
+        # every preset x seeds 1..3 at 200 PRBs and T=30, plus 5-4-13 at
+        # T=70 seed 1; recorded before propagation became incremental, so
+        # any change to a verdict, a model value or the output format
+        # moves it
+        cells = [(name, 30, seed) for name in PRESET_NAMES
+                 for seed in (1, 2, 3)] + [("5-4-13", 70, 1)]
+        digest = hashlib.sha256()
+        for name, horizon, seed in cells:
+            config = preset_config(name, total_prbs=200, horizon=horizon)
+            scenario = preset_scenario_spec(name).generate(config, seed)
+            proc = subprocess.run(
+                default_solver_command(),
+                input=emit_smtlib(encode(config, scenario)),
+                capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            digest.update(proc.stdout.encode())
+        assert digest.hexdigest() == (
+            "96d96f37aee7235ea3ca7aaccdbc6b38ffcdfbcbdd270bfcff61ac3c287e103a")
 
 
 class TestMainEntry:
