@@ -7,10 +7,14 @@ Subcommands
     gen-scenario     write a pinned scenario JSON for later runs
     validate-config  check a config document and exit
 
-Exit codes: 0 success, 2 validation failure, 3 property failure, 4 solver
-failure (unsat/unknown/timeout/process error), 5 trace mismatch in
-differential mode.  ``sweep`` writes its CSV in full either way, then exits 4
-if any cell is ``solver:*`` or ``error:*``, else 3 if any cell is
+``run``, ``sweep`` and the acceptance batch share ``run_pipeline``, and
+``STATUS_MAP`` turns its status into the exit code of ``run``: 0 success, 2
+validation failure (also a pinned scenario the simulator rejects), 3
+property failure, 4 solver failure (not run, unsat/unknown/timeout, or an
+unreadable output or model), 5 trace mismatch in differential mode; and
+into the ``sweep`` status column (``ok``, ``property:*``, ``solver:*``,
+``error:*``).  ``sweep`` writes its CSV in full either way, then exits 4 if
+any cell is ``solver:*`` or ``error:*``, else 3 if any cell is
 ``property:*``; skipped infeasible (config, budget) pairs do not count.
 """
 
@@ -21,17 +25,23 @@ import csv
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
 from .encoder import encode, emit_smtlib
 from .model import ConfigError, NetworkConfig
-from .oracle import diff_traces, simulate
+from .oracle import AllocationTrace, SimulationError, diff_traces, simulate
 from .presets import default_scenario_spec
-from .properties import baseline_overprovision, check_all, compute_metrics
+from .properties import (
+    MetricsBundle, PropertyReport, baseline_overprovision, check_all,
+    compute_metrics,
+)
 from .scenario import ScenarioSpec, ScenarioTrace
-from .solver import SolverProcessError, SolverOutputError, extract_trace, solve
+from .solver import (
+    DecodeError, SolverOutputError, SolverProcessError, SolverVerdict,
+    extract_trace, solve,
+)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -65,7 +75,6 @@ def _load_config(manifest: RunManifest) -> NetworkConfig:
     if manifest.horizon is not None:
         changes["horizon"] = manifest.horizon
     if changes:
-        from dataclasses import replace
         cfg = replace(cfg, **changes)
     cfg.validate()
     return cfg
@@ -93,31 +102,90 @@ def _scenario_spec(manifest: RunManifest, config: NetworkConfig) -> ScenarioSpec
     return default_scenario_spec(config)
 
 
-def _write(out_dir: Path, name: str, text: str) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / name).write_text(text)
+@dataclass
+class RunOutcome:
+    """What ``run_pipeline`` produced: each stage's output (None when the
+    stage did not run), and ``ok`` or the status of the stage that ended
+    the run, with ``detail`` saying why."""
+
+    status: str = "ok"
+    detail: str = ""
+    oracle_trace: Optional[AllocationTrace] = None
+    script: Optional[str] = None
+    verdict: Optional[SolverVerdict] = None
+    smt_trace: Optional[AllocationTrace] = None
+    diffs: Optional[list[str]] = None
+    report: Optional[PropertyReport] = None
+    metrics: Optional[MetricsBundle] = None
+
+    def stop(self, status: str, detail) -> "RunOutcome":
+        self.status, self.detail = status, str(detail)
+        return self
 
 
-def _run_oracle(config, scenario, out_dir: Path, prefix: str = "trace"):
-    trace = simulate(config, scenario)
-    _write(out_dir, f"{prefix}.csv", trace.to_csv())
-    _write(out_dir, f"{prefix}.json", trace.to_json())
-    return trace
+def run_pipeline(config: NetworkConfig, scenario: ScenarioTrace, mode: str,
+                 solver_cmd: Optional[str], timeout: float) -> RunOutcome:
+    """Simulate, encode, emit, solve, decode, diff, check and measure, each
+    stage at most once: ``oracle`` mode runs the simulator, ``smt`` the
+    solver path, ``differential`` both and the diff; properties and metrics
+    are of the simulator's trace when it ran.  The first stage that fails
+    ends the run with its status: ``invalid`` (the simulator rejected the
+    scenario), ``solver`` (the solver did not run, or its output or model
+    was unreadable), ``verdict`` (not sat), ``diff`` or ``property``."""
+    out = RunOutcome()
+    try:
+        if mode in ("oracle", "differential"):
+            out.oracle_trace = simulate(config, scenario)
+        if mode in ("smt", "differential"):
+            out.script = emit_smtlib(encode(config, scenario))
+            out.verdict = solve(out.script, timeout=timeout,
+                                command=solver_cmd)
+            if out.verdict.status != "sat":
+                return out.stop("verdict", out.verdict.status)
+            out.smt_trace = extract_trace(out.verdict, config, scenario)
+    except SimulationError as exc:
+        return out.stop("invalid", exc)
+    except (SolverProcessError, SolverOutputError, DecodeError) as exc:
+        return out.stop("solver", exc)
+    if mode == "differential":
+        out.diffs = diff_traces(out.oracle_trace, out.smt_trace)
+        if out.diffs:
+            return out.stop("diff", f"{len(out.diffs)} difference(s), "
+                                    f"first {out.diffs[0]}")
+    trace = out.oracle_trace or out.smt_trace
+    out.report = check_all(trace, config)
+    out.metrics = compute_metrics(trace, config)
+    if not out.report.all_passed:
+        return out.stop("property", ",".join(out.report.failing()))
+    return out
 
 
-def _run_smt(config, scenario, manifest: RunManifest, out_dir: Path):
-    script = emit_smtlib(encode(config, scenario))
-    _write(out_dir, "model.smt2", script)
-    verdict = solve(script, timeout=manifest.timeout,
-                    command=manifest.solver_cmd)
-    _write(out_dir, "verdict.json", json.dumps(
-        {"status": verdict.status, "wall_time": verdict.wall_time}, indent=2))
-    if verdict.status != "sat":
-        raise SolverProcessError(
-            f"solver answered {verdict.status} after {verdict.wall_time:.2f}s")
-    trace = extract_trace(verdict, config, scenario)
-    _write(out_dir, "smt_trace.csv", trace.to_csv())
-    return trace, verdict
+# pipeline status -> exit code and stderr line of `run`, and the status
+# column of `sweep` (which has no diff stage)
+STATUS_MAP = {
+    "ok": (EXIT_OK, "", "ok"),
+    "invalid": (EXIT_VALIDATION, "validation error: {}", "error: {}"),
+    "solver": (EXIT_SOLVER, "solver failure: {}", "error: {}"),
+    "verdict": (EXIT_SOLVER, "solver failure: verdict {}", "solver:{}"),
+    "diff": (EXIT_DIFF, "trace mismatch: {}", None),
+    "property": (EXIT_PROPERTY, "property failure: {}", "property:{}"),
+}
+
+# `run` artifacts: file name, the stage output it renders, and how; a file
+# is written exactly when its stage ran
+ARTIFACTS = (
+    ("trace.csv", "oracle_trace", AllocationTrace.to_csv),
+    ("trace.json", "oracle_trace", AllocationTrace.to_json),
+    ("model.smt2", "script", str),
+    ("verdict.json", "verdict", lambda v: json.dumps(
+        {"status": v.status, "wall_time": v.wall_time}, indent=2)),
+    ("smt_trace.csv", "smt_trace", AllocationTrace.to_csv),
+    ("diff.txt", "diffs", "\n".join),
+    ("properties.json", "report", PropertyReport.to_json),
+    ("properties.csv", "report", PropertyReport.to_csv),
+    ("metrics.json", "metrics", MetricsBundle.to_json),
+    ("metrics.csv", "metrics", MetricsBundle.to_csv),
+)
 
 
 def cmd_run(manifest: RunManifest) -> int:
@@ -128,38 +196,20 @@ def cmd_run(manifest: RunManifest) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-
-    trace = None
-    try:
-        if manifest.mode in ("oracle", "differential"):
-            trace = _run_oracle(config, scenario, out_dir)
-        if manifest.mode in ("smt", "differential"):
-            smt_trace, _ = _run_smt(config, scenario, manifest, out_dir)
-            if manifest.mode == "smt":
-                trace = smt_trace
-            else:
-                diffs = diff_traces(trace, smt_trace)
-                _write(out_dir, "diff.txt", "\n".join(diffs))
-                if diffs:
-                    print(f"trace mismatch: {len(diffs)} difference(s), see "
-                          f"{out_dir / 'diff.txt'}", file=sys.stderr)
-                    return EXIT_DIFF
-    except (SolverProcessError, SolverOutputError) as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-
-    report = check_all(trace, config)
-    metrics = compute_metrics(trace, config)
-    _write(out_dir, "properties.json", report.to_json())
-    _write(out_dir, "properties.csv", report.to_csv())
-    _write(out_dir, "metrics.json", metrics.to_json())
-    _write(out_dir, "metrics.csv", metrics.to_csv())
-    if not report.all_passed:
-        print(f"property failure: {', '.join(report.failing())}",
-              file=sys.stderr)
-        return EXIT_PROPERTY
-    print(f"ok: artifacts in {out_dir}")
-    return EXIT_OK
+    outcome = run_pipeline(config, scenario, manifest.mode,
+                           manifest.solver_cmd, manifest.timeout)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "config.json").write_text(config.to_json())
+    for name, stage, render in ARTIFACTS:
+        output = getattr(outcome, stage)
+        if output is not None:
+            (out_dir / name).write_text(render(output))
+    code, message, _ = STATUS_MAP[outcome.status]
+    if code == EXIT_OK:
+        print(f"ok: artifacts in {out_dir}")
+    else:
+        print(message.format(outcome.detail), file=sys.stderr)
+    return code
 
 
 SWEEP_COLUMNS = (
@@ -169,37 +219,22 @@ SWEEP_COLUMNS = (
 )
 
 
-def _sweep_cell(args):
-    config_path, total_prbs, seed, mode, solver_cmd, timeout, horizon = args
-    name = Path(config_path).stem
+def _sweep_cell(manifest: RunManifest) -> dict:
     row = {c: "" for c in SWEEP_COLUMNS}
-    row.update({"config": name, "total_prbs": total_prbs, "seed": seed})
+    row.update({"config": Path(manifest.config_path).stem,
+                "total_prbs": manifest.total_prbs, "seed": manifest.seed})
     try:
-        manifest = RunManifest(config_path=config_path, mode=mode,
-                               out_dir="", seed=seed, solver_cmd=solver_cmd,
-                               timeout=timeout, total_prbs=total_prbs,
-                               horizon=horizon)
         config = _load_config(manifest)
-    except (ConfigError, ValueError) as exc:
-        row["status"] = f"skipped: {exc}"
+        outcome = run_pipeline(config, _load_scenario(manifest, config),
+                               manifest.mode, manifest.solver_cmd,
+                               manifest.timeout)
+    except Exception as exc:  # partial failures stay in the table
+        row["status"] = f"error: {exc}"
         return row
-    try:
-        scenario = _load_scenario(manifest, config)
-        if mode == "oracle":
-            trace = simulate(config, scenario)
-        else:
-            script = emit_smtlib(encode(config, scenario))
-            verdict = solve(script, timeout=timeout, command=solver_cmd)
-            if verdict.status != "sat":
-                row["status"] = f"solver:{verdict.status}"
-                return row
-            trace = extract_trace(verdict, config, scenario)
-            row["solver_wall_time"] = f"{verdict.wall_time:.3f}"
-        metrics = compute_metrics(trace, config)
-        report = check_all(trace, config)
+    row["status"] = STATUS_MAP[outcome.status][2].format(outcome.detail)
+    metrics = outcome.metrics
+    if metrics is not None:
         row.update({
-            "status": "ok" if report.all_passed else
-                      f"property:{','.join(report.failing())}",
             "final_rp_shr": metrics.residual_share[-1],
             "final_rp_fraction": f"{metrics.residual_fraction[-1]:.4f}",
             "topup_actions": metrics.topup_total,
@@ -207,8 +242,8 @@ def _sweep_cell(args):
             "blocked_entries": metrics.blocked_entries,
             "premium_share_pct_max": f"{max(metrics.premium_share_pct):.4f}",
         })
-    except Exception as exc:  # partial failures stay in the table
-        row["status"] = f"error: {exc}"
+    if outcome.smt_trace is not None:
+        row["solver_wall_time"] = f"{outcome.verdict.wall_time:.3f}"
     return row
 
 
@@ -221,17 +256,16 @@ def cmd_sweep(config_paths: Sequence[str], prb_values: Sequence[int],
     for path in config_paths:
         for prbs in prb_values:
             # infeasible (config, total_prbs) pairs produce a note, not rows
+            manifest = RunManifest(config_path=path, mode=mode, out_dir="",
+                                   solver_cmd=solver_cmd, timeout=timeout,
+                                   total_prbs=prbs, horizon=horizon)
             try:
-                manifest = RunManifest(config_path=path, mode=mode, out_dir="",
-                                       total_prbs=prbs, horizon=horizon)
                 _load_config(manifest)
             except (ConfigError, ValueError) as exc:
                 skipped_notes.append(
                     f"skipping {Path(path).stem} at {prbs} PRBs: {exc}")
                 continue
-            for seed in seeds:
-                cells.append((path, prbs, seed, mode, solver_cmd, timeout,
-                              horizon))
+            cells.extend(replace(manifest, seed=seed) for seed in seeds)
 
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -24,7 +24,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .model import NetworkConfig
 
@@ -78,6 +78,55 @@ def check_timesteps(states: Sequence[SystemState], horizon: int) -> None:
                          f"missing j = {missing}, got {len(got)} states")
 
 
+# State rules, shared by check_all and the simulator's self-check at every
+# step: each returns the violation text, or None when the state obeys it.
+
+def conservation(st: SystemState, total_prbs: int) -> Optional[str]:
+    """The slice shares plus the residual share use the whole budget."""
+    total = sum(sl.shr for sl in st.slices) + st.rp_shr
+    if total != total_prbs:
+        return f"sum of shares {total} != total_prbs {total_prbs}"
+
+
+def partition_consistency(st: SystemState,
+                          partitions: Mapping) -> Optional[str]:
+    """Each partition share is the sum of its member slices' shares."""
+    for k in sorted(partitions):
+        expected = sum(st.slices[i - 1].shr for i in partitions[k])
+        if st.pt_shr[k - 1] != expected:
+            return (f"partition {k}: pt_shr {st.pt_shr[k - 1]} != "
+                    f"sum of member shares {expected}")
+
+
+def slice_accounting(st: SystemState, ms: Sequence[int]) -> Optional[str]:
+    """Each slice's share is its usage plus its residual, and its usage is
+    ceil(users / m); ``ms`` holds each slice's m in slice id order."""
+    for idx, sl in enumerate(st.slices):
+        if sl.shr != sl.usg + sl.resi:
+            return (f"slice {idx + 1}: shr {sl.shr} != usg {sl.usg} + "
+                    f"resi {sl.resi}")
+        if sl.usg != -(-sl.usr // ms[idx]):
+            return (f"slice {idx + 1}: usg {sl.usg} != "
+                    f"ceil({sl.usr}/{ms[idx]})")
+
+
+def signal_exclusion(st: SystemState) -> Optional[str]:
+    """No slice raises top-up and ramp-down at once."""
+    for idx, sl in enumerate(st.slices):
+        if sl.top and sl.ramp:
+            return f"slice {idx + 1}: top and ramp both raised"
+
+
+def _slice_state(fields: Mapping) -> SliceState:
+    """A slice's variables from a trace CSV row or JSON object, whose
+    numbers may be text and whose flags are 0/1."""
+    return SliceState(
+        usr=int(fields["usr"]), shr=int(fields["shr"]), usg=int(fields["usg"]),
+        resi=int(fields["resi"]), entries=int(fields["entries"]),
+        en=bool(int(fields["en"])), lv=bool(int(fields["lv"])),
+        top=bool(int(fields["top"])), ramp=bool(int(fields["ramp"])))
+
+
 @dataclass(frozen=True)
 class AllocationTrace:
     """States for j = 0..T plus references to what produced them."""
@@ -109,17 +158,8 @@ class AllocationTrace:
         states = []
         for j in sorted(rows_by_j):
             rows = rows_by_j[j]
-            slices = tuple(
-                SliceState(
-                    usr=int(rows[i]["usr"]), shr=int(rows[i]["shr"]),
-                    usg=int(rows[i]["usg"]), resi=int(rows[i]["resi"]),
-                    entries=int(rows[i]["entries"]),
-                    en=bool(int(rows[i]["en"])), lv=bool(int(rows[i]["lv"])),
-                    top=bool(int(rows[i]["top"])),
-                    ramp=bool(int(rows[i]["ramp"])),
-                )
-                for i in range(1, config.num_slices + 1)
-            )
+            slices = tuple(_slice_state(rows[i])
+                           for i in range(1, config.num_slices + 1))
             pt = [0] * config.num_partitions
             for i in range(1, config.num_slices + 1):
                 k = config.slice_by_id(i).partition_id
@@ -130,8 +170,7 @@ class AllocationTrace:
                 rp_shr=int(any_row["rp_shr"]),
                 rp_ovr=bool(int(any_row["rp_ovr"])),
             ))
-        # the CSV may hold a shorter run than config.horizon, but no gap
-        check_timesteps(states, max(rows_by_j, default=-1))
+        check_timesteps(states, config.horizon)
         return cls(config=config, scenario=None, states=tuple(states))
 
     def to_json(self) -> str:
@@ -157,15 +196,7 @@ class AllocationTrace:
         states = tuple(
             SystemState(
                 j=int(s["j"]),
-                slices=tuple(
-                    SliceState(
-                        usr=int(d["usr"]), shr=int(d["shr"]), usg=int(d["usg"]),
-                        resi=int(d["resi"]), entries=int(d["entries"]),
-                        en=bool(d["en"]), lv=bool(d["lv"]),
-                        top=bool(d["top"]), ramp=bool(d["ramp"]),
-                    )
-                    for d in s["slices"]
-                ),
+                slices=tuple(_slice_state(d) for d in s["slices"]),
                 pt_shr=tuple(int(v) for v in s["pt_shr"]),
                 rp_shr=int(s["rp_shr"]),
                 rp_ovr=bool(s["rp_ovr"]),
@@ -360,12 +391,10 @@ class ForwardSimulator:
     def __init__(self, config: NetworkConfig):
         config.validate()
         self.config = config
-        self.caps = [sl.usage_cap
-                     for sl in sorted(config.slices, key=lambda s: s.slice_id)]
-        self.windows = [sl.t_win
-                        for sl in sorted(config.slices, key=lambda s: s.slice_id)]
-        self.ms = [sl.m
-                   for sl in sorted(config.slices, key=lambda s: s.slice_id)]
+        slices = sorted(config.slices, key=lambda s: s.slice_id)
+        self.caps = [sl.usage_cap for sl in slices]
+        self.windows = [sl.t_win for sl in slices]
+        self.ms = [sl.m for sl in slices]
         self.floor = config.overuse_floor
 
     def initial_state(self) -> SystemState:
@@ -453,34 +482,19 @@ class ForwardSimulator:
         return state
 
     def _check_state(self, st: SystemState) -> None:
+        """Raise SimulationError if a variable is negative or a state rule
+        fails; the state dump in the message is built only then."""
         cfg = self.config
-        dump = f"state dump: {st}"
+        msg = None
         for idx, sl in enumerate(st.slices):
             if min(sl.usr, sl.shr, sl.usg, sl.resi, sl.entries) < 0:
-                raise SimulationError(
-                    f"timestep {st.j}, slice {idx + 1}: negative variable; {dump}")
-            if sl.shr != sl.usg + sl.resi:
-                raise SimulationError(
-                    f"timestep {st.j}, slice {idx + 1}: shr {sl.shr} != usg "
-                    f"{sl.usg} + resi {sl.resi}; {dump}")
-            if sl.usg != -(-sl.usr // self.ms[idx]):
-                raise SimulationError(
-                    f"timestep {st.j}, slice {idx + 1}: usg {sl.usg} != "
-                    f"ceil({sl.usr}/{self.ms[idx]}); {dump}")
-            if sl.top and sl.ramp:
-                raise SimulationError(
-                    f"timestep {st.j}, slice {idx + 1}: top and ramp both "
-                    f"raised; {dump}")
-        for k in sorted(cfg.partitions):
-            total = sum(st.slices[i - 1].shr for i in cfg.partitions[k])
-            if st.pt_shr[k - 1] != total:
-                raise SimulationError(
-                    f"timestep {st.j}, partition {k}: pt_shr {st.pt_shr[k - 1]} "
-                    f"!= sum of member shares {total}; {dump}")
-        if sum(st.pt_shr) + st.rp_shr != cfg.total_prbs:
-            raise SimulationError(
-                f"timestep {st.j}: shares do not conserve the budget "
-                f"({sum(st.pt_shr)} + {st.rp_shr} != {cfg.total_prbs}); {dump}")
+                msg = f"slice {idx + 1}: negative variable"
+                break
+        msg = (msg or slice_accounting(st, self.ms) or signal_exclusion(st)
+               or partition_consistency(st, cfg.partitions)
+               or conservation(st, cfg.total_prbs))
+        if msg:
+            raise SimulationError(f"timestep {st.j}: {msg}; state dump: {st}")
 
 
 def simulate(config: NetworkConfig, scenario) -> AllocationTrace:

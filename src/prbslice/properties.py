@@ -22,6 +22,8 @@ from typing import Optional
 from .model import ConfigError, NetworkConfig, ThroughputParams, nominal_throughput
 from .oracle import (
     AllocationTrace, SliceState, SystemState, assign_users, check_timesteps,
+    conservation, partition_consistency, signal_exclusion, slice_accounting,
+    step_user_count, step_window_entries,
 )
 
 # The ten trace invariants of the forward semantics, in reporting order.
@@ -86,14 +88,6 @@ class PropertyReport:
         return out.getvalue()
 
 
-def _first_fail(violations: list[tuple[int, str]]) -> InvariantResult:
-    if not violations:
-        return InvariantResult(passed=True)
-    j, details = violations[0]
-    return InvariantResult(passed=False, first_violation_timestep=j,
-                           details=details)
-
-
 def _mid_residual(sl: SliceState, cap: int) -> int:
     """Residual right after the user-event update, before any share move."""
     return sl.resi - (cap if sl.top else 0) + (cap if sl.ramp else 0)
@@ -110,44 +104,22 @@ def check_all(trace: AllocationTrace, config: NetworkConfig) -> PropertyReport:
     ms = [config.slice_by_id(i).m for i in range(1, config.num_slices + 1)]
     floor = config.overuse_floor
     states = trace.states
+    steps = list(zip(states, states[1:]))       # (previous, current) pairs
     results: dict[str, InvariantResult] = {}
 
-    def scan(name, fn):
-        violations = []
-        for st in states:
-            msg = fn(st)
-            if msg:
-                violations.append((st.j, msg))
-        results[name] = _first_fail(violations)
-
-    def scan_pairs(name, fn):
-        violations = []
-        for prev, cur in zip(states, states[1:]):
+    def scan_pairs(name, fn, pairs):
+        """Record the first (previous, current) pair that fn flags."""
+        results[name] = InvariantResult(passed=True)
+        for prev, cur in pairs:
             msg = fn(prev, cur)
             if msg:
-                violations.append((cur.j, msg))
-        results[name] = _first_fail(violations)
+                results[name] = InvariantResult(
+                    passed=False, first_violation_timestep=cur.j, details=msg)
+                return
 
-    def conservation(st: SystemState):
-        total = sum(sl.shr for sl in st.slices) + st.rp_shr
-        if total != config.total_prbs:
-            return f"sum of shares {total} != total_prbs {config.total_prbs}"
-
-    def partition_consistency(st: SystemState):
-        for k in sorted(config.partitions):
-            expected = sum(st.slices[i - 1].shr for i in config.partitions[k])
-            if st.pt_shr[k - 1] != expected:
-                return (f"partition {k}: pt_shr {st.pt_shr[k - 1]} != "
-                        f"sum of member shares {expected}")
-
-    def slice_accounting(st: SystemState):
-        for idx, sl in enumerate(st.slices):
-            if sl.shr != sl.usg + sl.resi:
-                return (f"slice {idx + 1}: shr {sl.shr} != usg {sl.usg} + "
-                        f"resi {sl.resi}")
-            if sl.usg != -(-sl.usr // ms[idx]):
-                return (f"slice {idx + 1}: usg {sl.usg} != "
-                        f"ceil({sl.usr}/{ms[idx]})")
+    def scan(name, fn, *args):
+        scan_pairs(name, lambda _, st: fn(st, *args),
+                   [(None, st) for st in states])
 
     def share_immobility(prev: SystemState, cur: SystemState):
         for idx in range(len(cur.slices)):
@@ -163,16 +135,11 @@ def check_all(trace: AllocationTrace, config: NetworkConfig) -> PropertyReport:
                 return (f"slice {idx + 1}: share moved by {delta}, "
                         f"cap is {caps[idx]}")
 
-    def signal_exclusion(st: SystemState):
-        for idx, sl in enumerate(st.slices):
-            if sl.top and sl.ramp:
-                return f"slice {idx + 1}: top and ramp both raised"
-
-    def fairness(prev: SystemState, cur: SystemState):
+    def fairness(prev: Optional[SystemState], cur: SystemState):
         for idx, sl in enumerate(cur.slices):
             if sl.resi < 0:
                 return f"slice {idx + 1}: negative residual {sl.resi}"
-            if cur.j % wins[idx] == 0 and not cur.rp_ovr:
+            if prev is not None and cur.j % wins[idx] == 0 and not cur.rp_ovr:
                 mid = _mid_residual(sl, caps[idx])
                 if mid <= caps[idx]:
                     grew = sl.shr - prev.slices[idx].shr
@@ -180,11 +147,6 @@ def check_all(trace: AllocationTrace, config: NetworkConfig) -> PropertyReport:
                         return (f"slice {idx + 1}: top-up due (mid residual "
                                 f"{mid} <= cap {caps[idx]}) but share moved "
                                 f"by {grew}")
-
-    def fairness_initial(st: SystemState):
-        for idx, sl in enumerate(st.slices):
-            if sl.resi < 0:
-                return f"slice {idx + 1}: negative residual {sl.resi}"
 
     def optimality_band(st: SystemState):
         for idx, sl in enumerate(st.slices):
@@ -225,27 +187,18 @@ def check_all(trace: AllocationTrace, config: NetworkConfig) -> PropertyReport:
             return (f"rp_ovr {cur.rp_ovr} but previous residual share "
                     f"{prev.rp_shr} vs floor {floor}")
 
-    scan("conservation", conservation)
-    scan("partition-consistency", partition_consistency)
-    scan("slice-accounting", slice_accounting)
-    scan_pairs("share-immobility", share_immobility)
-    scan_pairs("share-quantization", share_quantization)
+    scan("conservation", conservation, config.total_prbs)
+    scan("partition-consistency", partition_consistency, config.partitions)
+    scan("slice-accounting", slice_accounting, ms)
+    scan_pairs("share-immobility", share_immobility, steps)
+    scan_pairs("share-quantization", share_quantization, steps)
     scan("signal-exclusion", signal_exclusion)
-    # fairness needs pairs for the top-up leg but also covers state 0
-    fair_violations = []
-    if states:
-        msg = fairness_initial(states[0])
-        if msg:
-            fair_violations.append((states[0].j, msg))
-    for prev, cur in zip(states, states[1:]):
-        msg = fairness(prev, cur)
-        if msg:
-            fair_violations.append((cur.j, msg))
-    results["fairness"] = _first_fail(fair_violations)
+    # fairness also covers state 0, which has no previous state
+    scan_pairs("fairness", fairness, [(None, st) for st in states[:1]] + steps)
     scan("optimality-band", optimality_band)
     scan("topup-gating", topup_gating)
-    scan_pairs("argmin-assignment", argmin_assignment)
-    scan_pairs("overuse-flag", overuse_flag)
+    scan_pairs("argmin-assignment", argmin_assignment, steps)
+    scan_pairs("overuse-flag", overuse_flag, steps)
 
     ordered = {name: results[name] for name in ALL_INVARIANTS}
     return PropertyReport(results=ordered)
@@ -424,15 +377,10 @@ def baseline_overprovision(
                 would_use = -(-(usr[idx] + 1) // ms[i])
                 if would_use > shares[i]:
                     en[idx] = False      # slice is full, entry dropped
-        new_usr = [usr[idx] + (1 if en[idx] and not lv[idx] else 0)
-                   - (1 if lv[idx] and not en[idx] else 0)
+        usr = [step_user_count(usr[idx], en[idx], lv[idx])
+               for idx in range(n)]
+        entries = [step_window_entries(entries[idx], en[idx], j, wins[idx + 1])
                    for idx in range(n)]
-        entries = [
-            (1 if en[idx] else 0) if j % wins[idx + 1] == 1 % wins[idx + 1]
-            else entries[idx] + (1 if en[idx] else 0)
-            for idx in range(n)
-        ]
-        usr = new_usr
         usg = [-(-usr[idx] // ms[idx + 1]) for idx in range(n)]
         states.append(make_state(j, usr, usg, entries, en, lv))
     return AllocationTrace(config=config, scenario=scenario,

@@ -263,6 +263,8 @@ def _unit(t):
     """The (variable, value) a residual forces by itself, else None."""
     if isinstance(t, str):
         return t, True
+    if type(t) is int:
+        raise SmtError(f"ill-sorted assertion: it evaluates to the Int {t}")
     if t[0] == "not" and isinstance(t[1], str):
         return t[1], False
     if t[0] == "=" and len(t) == 3:

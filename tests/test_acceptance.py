@@ -11,7 +11,8 @@ from fractions import Fraction
 
 import pytest
 
-from prbslice.encoder import BOUND_MULTIPLIER, encode, emit_smtlib
+from prbslice.cli import run_pipeline
+from prbslice.encoder import BOUND_MULTIPLIER, encode
 from prbslice.model import (
     ConfigError,
     ThroughputParams,
@@ -19,15 +20,9 @@ from prbslice.model import (
     max_window_usage,
     nominal_throughput,
 )
-from prbslice.oracle import (
-    diff_traces,
-    partition_adjust,
-    residual_adjust,
-    simulate,
-)
+from prbslice.oracle import partition_adjust, residual_adjust, simulate
 from prbslice.presets import PRESET_NAMES, preset_config, preset_scenario_spec
 from prbslice.properties import baseline_overprovision, check_all, compute_metrics
-from prbslice.solver import extract_trace, solve
 
 SEEDS = tuple(range(1, 31))
 
@@ -48,23 +43,22 @@ def _run_cell(args):
     name, seed = args
     config = preset_config(name, total_prbs=200, horizon=30)
     scenario = preset_scenario_spec(name).generate(config, seed)
-    oracle_trace = simulate(config, scenario)
-    verdict = solve(emit_smtlib(encode(config, scenario)), timeout=600)
-    if verdict.status != "sat":
-        return CellResult(name, seed, verdict.status, verdict.wall_time,
+    run = run_pipeline(config, scenario, "differential", None, 600)
+    verdict = run.verdict
+    if run.smt_trace is None:           # no model to compare
+        return CellResult(name, seed, f"{run.status}: {run.detail}",
+                          verdict.wall_time if verdict else 0.0,
                           -1, -1.0, False, False)
-    smt_trace = extract_trace(verdict, config, scenario)
-    diffs = diff_traces(oracle_trace, smt_trace)
-    metrics = compute_metrics(oracle_trace, config)
+    metrics = compute_metrics(run.oracle_trace, config)
     return CellResult(
         name=name,
         seed=seed,
         status=verdict.status,
         wall_time=verdict.wall_time,
-        diff_count=len(diffs),
+        diff_count=len(run.diffs),
         final_rp_fraction=metrics.residual_fraction[-1],
-        oracle_props_pass=check_all(oracle_trace, config).all_passed,
-        smt_props_pass=check_all(smt_trace, config).all_passed,
+        oracle_props_pass=check_all(run.oracle_trace, config).all_passed,
+        smt_props_pass=check_all(run.smt_trace, config).all_passed,
     )
 
 

@@ -1,6 +1,10 @@
 import csv
+import hashlib
 import json
+import re
 from pathlib import Path
+
+import pytest
 
 from prbslice.cli import (
     EXIT_DIFF,
@@ -83,7 +87,8 @@ class TestRun:
         from prbslice.model import NetworkConfig
         from prbslice.oracle import AllocationTrace
 
-        config = NetworkConfig.from_json(Path(C324).read_text())
+        config = NetworkConfig.from_json((out / "config.json").read_text())
+        assert config.horizon == 10
         AllocationTrace.from_csv((out / "trace.csv").read_text(), config)
         json.loads((out / "metrics.json").read_text())
         assert read_rows(out / "metrics.csv")
@@ -118,6 +123,33 @@ class TestRun:
                      "--out", str(tmp_path / "x")])
         assert code == EXIT_DIFF
         assert (tmp_path / "x" / "diff.txt").read_text() != ""
+
+    def test_undecodable_model_exit_code(self, tmp_path, capsys):
+        # a solver that answers sat without a model
+        out = tmp_path / "x"
+        code = main(["run", "--config", C324, "--seed", "1", "--horizon",
+                     "4", "--mode", "smt", "--solver-cmd", "echo sat",
+                     "--out", str(out)])
+        assert code == EXIT_SOLVER
+        assert "solver failure: model is missing variable" in \
+            capsys.readouterr().err
+        assert artifacts(out) == {"model.smt2", "verdict.json"}
+
+    def test_scenario_rejected_by_simulator_exit_code(self, tmp_path,
+                                                      capsys):
+        scenario_path = tmp_path / "bad.json"
+        assert main(["gen-scenario", "--config", C324, "--seed", "1",
+                     "--horizon", "4", "--out", str(scenario_path)]) == EXIT_OK
+        doc = json.loads(scenario_path.read_text())
+        doc["departures"][1][0] = True      # slice 2 is empty at j=1
+        scenario_path.write_text(json.dumps(doc))
+        code = main(["run", "--config", C324, "--horizon", "4",
+                     "--scenario", str(scenario_path),
+                     "--out", str(tmp_path / "x")])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: timestep 1")
+        assert "departure flagged on an empty slice" in err
 
     def test_pinned_scenario_round_trip(self, tmp_path):
         scenario_path = tmp_path / "pinned.json"
@@ -213,3 +245,110 @@ class TestCompare:
         rows = read_rows(out)
         assert len(rows) == 6
         assert all(float(r["gap"]) == 0 for r in rows)
+
+
+def sha256(path):
+    data = path.read_bytes()
+    if path.name == "verdict.json":
+        data = re.sub(rb'"wall_time": [^\n}]*', b'"wall_time": 0', data)
+    return hashlib.sha256(data).hexdigest()
+
+
+# SHA-256 of every artifact of `run` on 3-2-4, seed 1, horizon 10 (each mode
+# writes the same bytes for the files it shares), and of an oracle sweep CSV
+# over 3-2-4 and 5-4-13 x 100/200 PRBs x seeds 1..2; verdict.json's
+# wall_time is normalised to 0.
+ARTIFACT_SHA256 = {
+    "trace.csv": "0a8ee14c062e85d2452245e0088ed359"
+                 "338736e66e9fb56e2ed83f37d03ca0eb",
+    "trace.json": "e89628c6eeeb66fe391c5066c67a9027"
+                  "5605881039fe04e818ecbd428654f71f",
+    "model.smt2": "096901d3290d60c869a25a02c74d9748"
+                  "d46e8d6236be7e2a4b6c1b275954f80f",
+    "verdict.json": "9056fd9b7c79762c42bc0ec666bb4e12"
+                    "173e6fc866668b534fb2c4380cab4779",
+    "smt_trace.csv": "0a8ee14c062e85d2452245e0088ed359"
+                     "338736e66e9fb56e2ed83f37d03ca0eb",
+    "diff.txt": "e3b0c44298fc1c149afbf4c8996fb924"
+                "27ae41e4649b934ca495991b7852b855",
+    "properties.json": "01184ed1f9bfc19bcb5c120f80374ccc"
+                       "91d6eeec9743d2fdb3a5a37db88bed17",
+    "properties.csv": "4d931d99467edeb442a3ab8efbcd2042"
+                      "3af2cc1ba933c754c5dafcb7fd8baa7e",
+    "metrics.json": "a5e7eef4207a2f533bf131786b8e4a9f"
+                    "f615c295a37355a67d04668c01a8ea7a",
+    "metrics.csv": "5b747f50e4f57b19b38f3e361c44dd6e"
+                   "983c24d51ff3495e1fba74b6628005be",
+}
+REPORTS = {"properties.json", "properties.csv", "metrics.json", "metrics.csv"}
+MODE_ARTIFACTS = {
+    "oracle": {"trace.csv", "trace.json"} | REPORTS,
+    "smt": {"model.smt2", "verdict.json", "smt_trace.csv"} | REPORTS,
+    "differential": set(ARTIFACT_SHA256),
+}
+SWEEP_SHA256 = ("ac260ac09796c80af92a741749b57d8c"
+                "9df76c89eabd7253b5c9d3a515e8d29b")
+
+
+def artifacts(out):
+    """Every file in a run directory except config.json."""
+    return {p.name for p in out.iterdir()} - {"config.json"}
+
+
+class TestArtifactPins:
+    @pytest.mark.parametrize("mode", sorted(MODE_ARTIFACTS))
+    def test_run_artifacts_pinned(self, tmp_path, mode):
+        out = tmp_path / mode
+        assert main(["run", "--config", C324, "--seed", "1", "--horizon",
+                     "10", "--mode", mode, "--out", str(out)]) == EXIT_OK
+        assert artifacts(out) == MODE_ARTIFACTS[mode]
+        for name in MODE_ARTIFACTS[mode]:
+            assert sha256(out / name) == ARTIFACT_SHA256[name], name
+
+    def test_oracle_sweep_csv_pinned(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", C324, "--config", C5413,
+                     "--total-prbs", "100", "--total-prbs", "200",
+                     "--seeds", "2", "--out", str(out)]) == EXIT_OK
+        assert sha256(out) == SWEEP_SHA256
+
+    @pytest.mark.parametrize("mode, solver, code, written", [
+        ("smt", "definitely-not-a-solver-xyz", EXIT_SOLVER, {"model.smt2"}),
+        ("differential", "definitely-not-a-solver-xyz", EXIT_SOLVER,
+         {"trace.csv", "trace.json", "model.smt2"}),
+        ("smt", "echo unsat", EXIT_SOLVER, {"model.smt2", "verdict.json"}),
+        ("differential", "echo unknown", EXIT_SOLVER,
+         {"trace.csv", "trace.json", "model.smt2", "verdict.json"}),
+    ])
+    def test_solver_failure_artifacts(self, tmp_path, mode, solver, code,
+                                      written):
+        out = tmp_path / "x"
+        assert main(["run", "--config", C324, "--seed", "1", "--horizon",
+                     "5", "--mode", mode, "--solver-cmd", solver,
+                     "--out", str(out)]) == code
+        assert artifacts(out) == written
+
+    @pytest.mark.parametrize("mode", sorted(MODE_ARTIFACTS))
+    def test_property_failure_artifacts(self, tmp_path, monkeypatch, mode):
+        from prbslice.properties import InvariantResult, PropertyReport
+
+        monkeypatch.setattr("prbslice.cli.check_all", lambda t, c: (
+            PropertyReport(results={"conservation": InvariantResult(
+                passed=False, first_violation_timestep=1, details="x")})))
+        out = tmp_path / "x"
+        assert main(["run", "--config", C324, "--seed", "1", "--horizon",
+                     "5", "--mode", mode, "--out", str(out)]) == EXIT_PROPERTY
+        assert artifacts(out) == MODE_ARTIFACTS[mode]
+
+    def test_diff_mismatch_artifacts(self, tmp_path, monkeypatch):
+        from helpers import mutate_slice
+        import prbslice.cli as cli_mod
+
+        real_simulate = cli_mod.simulate
+        monkeypatch.setattr("prbslice.cli.simulate", lambda c, s: mutate_slice(
+            real_simulate(c, s), j=1, slice_id=1, usr=99))
+        out = tmp_path / "x"
+        assert main(["run", "--config", C324, "--seed", "1", "--horizon",
+                     "5", "--mode", "differential",
+                     "--out", str(out)]) == EXIT_DIFF
+        assert artifacts(out) == MODE_ARTIFACTS["differential"] - REPORTS

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 from dataclasses import replace
@@ -72,6 +73,13 @@ class TestTimesteps:
         with pytest.raises(ValueError, match=r"missing j = \[5\]"):
             AllocationTrace.from_csv("".join(kept), config)
 
+    def test_csv_missing_the_last_timestep_rejected(self, small_run):
+        config, _, trace = small_run
+        lines = trace.to_csv().splitlines(keepends=True)
+        kept = lines[:-config.num_slices]
+        with pytest.raises(ValueError, match=r"missing j = \[30\]"):
+            AllocationTrace.from_csv("".join(kept), config)
+
     @pytest.mark.parametrize("cut", ["last", "middle", "swap"])
     def test_check_all_rejects_gaps_and_disorder(self, small_run, cut):
         config, _, trace = small_run
@@ -86,6 +94,33 @@ class TestTimesteps:
             check_all(replace(trace, states=tuple(states)), config)
 
 
+# SHA-256 of properties.json + properties.csv for each injected fault below
+REPORT_SHA256 = {
+    "conservation": "ab9e9210f37093e7efe6a2b3d690ec52"
+                    "2094ec2f7b4e0fb287ef717aaf295335",
+    "partition-consistency": "5de8305e7a44844f1e7f7de5f349633e"
+                             "d080b5992236f0e024e7a0272825a6f1",
+    "slice-accounting": "bbd92aa3868b35e931eae39f30fb2ad8"
+                        "2f5657a198bd6237a89837691d79c80b",
+    "share-immobility": "54755adb9b6ebc2915b8d2b0cec0b9c5"
+                        "f088941ca78a1e1301ec58e18ecaf9ee",
+    "share-quantization": "1bf61d420aebae522c0e173641697989"
+                          "2d2f6acf3a2106776e7b9473ef47d800",
+    "signal-exclusion": "d61dec80febe407af6bd73957181f259"
+                        "7ed89df162b488f1a5b269eaf53bad87",
+    "fairness": "97102697e4d99e72beb448daf86aea56"
+                "c26a914c258754464ffff63d0e5c68f5",
+    "optimality-band": "10c2584cbeef43c0d582abe308adc1c8"
+                       "6f7b0fc7fd820fa8a6102622c3919639",
+    "topup-gating": "d44e1adf6c43ef319f594307646983f0"
+                    "9007dc2c9410465c275b2423f88c1c22",
+    "argmin-assignment": "e7a1a653864c7137387681a593efdda1"
+                         "7263f0b616a3bc64e80a088a814bf3eb",
+    "overuse-flag": "7f95b3df7b7f2f419c7b446c37d55b25"
+                    "13ce257d8cececb21a3502f43458e325",
+}
+
+
 class TestInjectedFaults:
     """Each of the ten semantics invariants must catch its dedicated fault."""
 
@@ -96,6 +131,9 @@ class TestInjectedFaults:
         if at is not None:
             assert result.first_violation_timestep == at
         assert result.details
+        text = report.to_json() + report.to_csv()
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            REPORT_SHA256[invariant]
 
     def test_conservation(self, small_run):
         config, _, trace = small_run

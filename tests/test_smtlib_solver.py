@@ -352,3 +352,14 @@ class TestMainEntry:
             capture_output=True, text=True)
         assert proc.returncode == 3
         assert "error" in proc.stdout
+
+    @pytest.mark.parametrize("script", [
+        "(assert 5)(check-sat)",
+        "(declare-const x Int)(assert (+ x 1))(assert (= x 2))(check-sat)",
+    ], ids=["int-literal", "int-term"])
+    def test_ill_sorted_assertion_reports_error(self, script):
+        proc = subprocess.run(default_solver_command(), input=script,
+                              capture_output=True, text=True)
+        assert proc.returncode == 3
+        assert proc.stdout.startswith('(error "ill-sorted assertion')
+        assert proc.stderr == ""
