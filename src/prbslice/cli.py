@@ -7,8 +7,9 @@ Subcommands
     gen-scenario     write a pinned scenario JSON for later runs
     validate-config  check a config document and exit
 
-``run``, ``sweep`` and the acceptance batch share ``run_pipeline``, and
-``STATUS_MAP`` turns its status into the exit code of ``run``: 0 success, 2
+``run``, ``compare``, ``sweep`` and the acceptance batch share
+``run_pipeline``, and ``STATUS_MAP`` turns its status into the exit code of
+``run`` and ``compare`` (which runs it in oracle mode): 0 success, 2
 validation failure (also a pinned scenario the simulator rejects), 3
 property failure, 4 solver failure (not run, unsat/unknown/timeout, or an
 unreadable output or model), 5 trace mismatch in differential mode; and
@@ -188,6 +189,14 @@ ARTIFACTS = (
 )
 
 
+def _exit_code(outcome: RunOutcome) -> int:
+    """The exit code of ``outcome``, after printing why when it failed."""
+    code, message, _ = STATUS_MAP[outcome.status]
+    if code != EXIT_OK:
+        print(message.format(outcome.detail), file=sys.stderr)
+    return code
+
+
 def cmd_run(manifest: RunManifest) -> int:
     out_dir = Path(manifest.out_dir)
     try:
@@ -204,11 +213,9 @@ def cmd_run(manifest: RunManifest) -> int:
         output = getattr(outcome, stage)
         if output is not None:
             (out_dir / name).write_text(render(output))
-    code, message, _ = STATUS_MAP[outcome.status]
+    code = _exit_code(outcome)
     if code == EXIT_OK:
         print(f"ok: artifacts in {out_dir}")
-    else:
-        print(message.format(outcome.detail), file=sys.stderr)
     return code
 
 
@@ -298,8 +305,10 @@ def cmd_compare(manifest: RunManifest,
     except (ConfigError, ValueError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    trace = simulate(config, scenario)
-    metrics = compute_metrics(trace, config)
+    outcome = run_pipeline(config, scenario, "oracle", None, manifest.timeout)
+    if outcome.status != "ok":
+        return _exit_code(outcome)
+    metrics = outcome.metrics
     if baseline_fraction is None:
         baseline_fraction = max(metrics.premium_share_pct) / 100.0
     try:

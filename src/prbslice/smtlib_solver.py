@@ -16,16 +16,22 @@ Propagation keeps one assignment and works in time linear in the script:
 each term keeps its residual (the term simplified so far), and the first
 time a term stalls it joins the watch list of every variable left in it, so
 an assignment re-simplifies only the terms that watch that variable.  Every
-change is logged on a trail.  A split assigns one Bool (true before false):
-the first unassigned one, in name order, of the lowest-id open term that has
-one, where the assertions are ids 0..n-1 in script order and a conjunct
-split off an ``and`` gets the next free id.  It propagates from that
-decision alone, and a failed branch is undone from the trail.  The verdict
-is ``sat`` for the first leaf where every term holds (and the model passes a
-re-check of every assertion), else ``unknown`` if any leaf was undecided,
-else ``unsat``.  ``(get-info :all-statistics)`` reports, for the last
-``check-sat``, ``:propagations`` (terms simplified), ``:splits`` (split
-variables chosen) and ``:conflicts`` (branches closed by a conflict).
+change is logged on a trail.  The assertions are ids 0..n-1 in script order
+and are queued in that order; a conjunct split off an ``and`` gets the next
+free id and is queued at the front, in order, so it is simplified before
+any term queued earlier and its units are set before a later term reads
+them.  A split assigns one Bool (true before false): the first unassigned
+one, in name order, of the lowest-id open term that has one.  It propagates
+from that decision alone, and a failed branch is undone from the trail.
+The verdict is ``sat`` for the first leaf where every term holds, else
+``unknown`` if any leaf was undecided, else ``unsat``.  A ``sat`` leaf must
+pass a guard: every original assertion is evaluated again on the complete
+model by ``evaluate``, which decides ground terms without building
+residuals, and any that is not true turns the answer into ``unknown``.  A
+unit that gives a declared symbol a value of the other sort is an error.
+``(get-info :all-statistics)`` reports, for the last ``check-sat``,
+``:propagations`` (terms simplified), ``:splits`` (split variables chosen)
+and ``:conflicts`` (branches closed by a conflict).
 
 Supported commands: set-logic, set-info, set-option, declare-const,
 declare-fun (zero arity), assert, check-sat, get-model, get-info, echo,
@@ -39,7 +45,7 @@ import re
 import sys
 from collections import deque
 
-_TOKEN = re.compile(r"[()]|[^()\s]+")
+_COMMENT = re.compile(r";[^\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]*")
 _INT = re.compile(r"-?\d+\Z")
 STATISTICS = (":propagations", ":splits", ":conflicts")
 
@@ -49,12 +55,11 @@ class SmtError(Exception):
 
 
 def tokenize(text: str) -> list:
-    # strip ; comments line by line, then split into parens and atoms
-    lines = []
-    for line in text.splitlines():
-        cut = line.find(";")
-        lines.append(line if cut < 0 else line[:cut])
-    return _TOKEN.findall("\n".join(lines))
+    # cut each ; comment at its line end (every str.splitlines boundary),
+    # then pad the parens so that a whitespace split yields every token
+    if ";" in text:
+        text = _COMMENT.sub("", text)
+    return text.replace("(", " ( ").replace(")", " ) ").split()
 
 
 def _atom(tok: str):
@@ -72,24 +77,24 @@ def _atom(tok: str):
 
 def parse(tokens: list) -> list:
     forms = []
-    stack: list[list] = []
+    top = forms                 # the list being filled
+    stack: list[list] = []      # its enclosing lists
+    atoms: dict = {}            # token text -> value, one _atom call each
     for tok in tokens:
         if tok == "(":
-            stack.append([])
+            sub: list = []
+            top.append(sub)
+            stack.append(top)
+            top = sub
         elif tok == ")":
             if not stack:
                 raise SmtError("unbalanced ')'")
-            done = stack.pop()
-            if stack:
-                stack[-1].append(done)
-            else:
-                forms.append(done)
+            top = stack.pop()
         else:
-            node = _atom(tok)
-            if stack:
-                stack[-1].append(node)
-            else:
-                forms.append(node)
+            node = atoms.get(tok, atoms)
+            if node is atoms:
+                node = atoms[tok] = _atom(tok)
+            top.append(node)
     if stack:
         raise SmtError("unbalanced '('")
     return forms
@@ -251,6 +256,46 @@ def simplify(t, env):
     raise SmtError(f"unsupported operator {op!r}")
 
 
+def evaluate(t, env):
+    """The value ``simplify`` gives a term under a complete assignment,
+    computed without building residuals; the model guard calls it.
+
+    ``and``, ``=>``, ``not`` and a binary ``=`` are evaluated here, and
+    ``and`` and ``=>`` stop at the first argument that decides them.  Every
+    other operator, and every n-ary ``=``, goes to ``simplify`` with its
+    arguments evaluated, and an ``and``, ``=>`` or ``not`` with an argument
+    of the wrong sort goes to ``simplify`` whole, so the semantics live in
+    one place.  The one difference: ``simplify`` evaluates every argument,
+    so a zero divisor in one that cannot change the value (a consequent
+    under a false guard) raises there and not here."""
+    if type(t) is str:
+        return env.get(t, t)
+    if type(t) is not list:
+        return t
+    op = t[0]
+    if op == "and":
+        for a in t[1:]:
+            v = evaluate(a, env)
+            if v is not True:
+                return False if v is False else simplify(t, env)
+        return True
+    if op == "=>":
+        for a in t[1:-1]:
+            v = evaluate(a, env)
+            if v is not True:
+                return True if v is False else simplify(t, env)
+        return evaluate(t[-1], env)
+    if op == "not":
+        v = evaluate(t[1], env)
+        return (not v) if type(v) is bool else simplify(t, env)
+    args = [evaluate(a, env) for a in t[1:]]
+    if op == "=" and len(args) == 2:
+        a, b = args
+        if _is_val(a) and _is_val(b):
+            return a == b and type(a) is type(b)
+    return simplify([op] + args, env)
+
+
 def _free_vars(t, acc: set) -> None:
     if isinstance(t, str):
         acc.add(t)
@@ -280,36 +325,41 @@ class Propagator:
     """Terms under one assignment, with a trail to undo it.
 
     Term ids: the assertions are 0..n-1 in script order, and each conjunct
-    split off an ``and`` residual gets the next free id.  ``residual[tid]``
-    is the term simplified under ``env``, True once satisfied.  The first
-    time a term stalls, the free variables of its residual are computed and
-    the term joins each one's watch list; after that it is simplified again
-    only when one of them is assigned.  Every change (assignment, residual,
-    new term, watch registration) is logged on ``trail``, newest last."""
+    split off an ``and`` residual gets the next free id and goes to the
+    front of the queue, in order.  ``residual[tid]`` is the term simplified
+    under ``env``, True once satisfied.  The first time a term stalls, the
+    free variables of its residual are computed and the term joins each
+    one's watch list; after that it is simplified again only when one of
+    them is assigned.  Every change (assignment, residual, new term, watch
+    registration) is logged on ``trail``, newest last."""
 
-    def __init__(self, assertions):
+    def __init__(self, assertions, sorts: dict):
+        self.sorts = sorts          # declared symbol -> "Int" or "Bool"
         self.env: dict = {}
         self.residual: list = []
         self.vars: list = []        # free variables at first stall, else None
         self.watch: dict[str, list] = {}
         self.trail: list = []
-        self.queue = deque()
         self.open = 0               # terms whose residual is not True
         self.stats = dict.fromkeys(STATISTICS, 0)
-        for t in assertions:
-            self._new(t)
+        self.queue = deque(self._new(t) for t in assertions)
 
-    def _new(self, term) -> None:
+    def _new(self, term) -> int:
         tid = len(self.residual)
         self.residual.append(term)
         self.vars.append(None)
         self.trail.append(("new", tid, None))
         self.open += term is not True
-        self.queue.append(tid)
+        return tid
 
     def assign(self, var, val) -> bool:
-        """Assign and wake the watchers; False on a clash."""
+        """Assign and wake the watchers; False on a clash.  A value of the
+        wrong sort for a declared symbol is an error, not a clash."""
         env = self.env
+        sort = self.sorts.get(var)
+        if sort is not None and (sort == "Bool") is not (type(val) is bool):
+            raise SmtError(f"ill-sorted assertion: the {sort} symbol {var} "
+                           f"is given the value {_fmt_value(val)}")
         if var in env:
             return env[var] == val and type(env[var]) is type(val)
         env[var] = val
@@ -364,8 +414,10 @@ class Propagator:
                 if unit is not None:
                     t = True
                 elif t[0] == "and":
-                    for sub in t[1:]:
-                        self._new(sub)
+                    # the conjuncts run next, in order, before any term
+                    # queued earlier
+                    queue.extendleft(reversed([self._new(sub)
+                                               for sub in t[1:]]))
                     t = True
             residual[tid] = t
             if t is True:
@@ -390,7 +442,7 @@ class Propagator:
             self.stats[":conflicts"] += status == "unsat"
         return status
 
-    def split_var(self, first: int, sorts):
+    def split_var(self, first: int):
         """The first unassigned Bool, in name order, of the residual of the
         lowest-id open term that has one, scanning from id ``first``.
         Returns (var or None, id to scan from next time)."""
@@ -401,13 +453,13 @@ class Propagator:
                 found: set = set()
                 _free_vars(t, found)
                 for v in sorted(found):
-                    if v not in env and sorts.get(v) == "Bool":
+                    if v not in env and self.sorts.get(v) == "Bool":
                         return v, first
             first += 1
         return None, first
 
 
-def search(prop: Propagator, sorts):
+def search(prop: Propagator):
     """Propagation plus depth-first boolean splitting on one assignment.
 
     When propagation stalls with open terms left, split on the first
@@ -428,7 +480,7 @@ def search(prop: Propagator, sorts):
         if status == "ok":
             if not prop.open:
                 return ("sat", prop.env)
-            var, first = prop.split_var(first, sorts)
+            var, first = prop.split_var(first)
             if var is not None:
                 prop.stats[":splits"] += 1
                 stack.append((var, len(prop.trail), first))
@@ -471,8 +523,8 @@ class Interpreter:
         self.order.append(name)
 
     def check_sat(self) -> None:
-        prop = Propagator(self.assertions)
-        outcome = search(prop, self.sorts)
+        prop = Propagator(self.assertions, self.sorts)
+        outcome = search(prop)
         self.stats = prop.stats
         if outcome[0] != "sat":
             self.result = outcome[0]
@@ -484,7 +536,7 @@ class Interpreter:
             env.setdefault(name, 0 if self.sorts[name] == "Int" else False)
         # soundness guard: the model must satisfy every original assertion
         for t in self.assertions:
-            if simplify(t, env) is not True:
+            if evaluate(t, env) is not True:
                 self.result = "unknown"
                 self.model = None
                 print(self.result, file=self.out)

@@ -143,13 +143,16 @@ class TestRun:
         doc = json.loads(scenario_path.read_text())
         doc["departures"][1][0] = True      # slice 2 is empty at j=1
         scenario_path.write_text(json.dumps(doc))
-        code = main(["run", "--config", C324, "--horizon", "4",
-                     "--scenario", str(scenario_path),
-                     "--out", str(tmp_path / "x")])
-        assert code == EXIT_VALIDATION
-        err = capsys.readouterr().err
-        assert err.startswith("validation error: timestep 1")
-        assert "departure flagged on an empty slice" in err
+        for command in ("run", "compare"):
+            out = tmp_path / command
+            code = main([command, "--config", C324, "--horizon", "4",
+                         "--scenario", str(scenario_path),
+                         "--out", str(out)])
+            assert code == EXIT_VALIDATION, command
+            err = capsys.readouterr().err
+            assert err.startswith("validation error: timestep 1"), command
+            assert "departure flagged on an empty slice" in err
+        assert not (tmp_path / "compare").exists()
 
     def test_pinned_scenario_round_trip(self, tmp_path):
         scenario_path = tmp_path / "pinned.json"
@@ -288,6 +291,14 @@ MODE_ARTIFACTS = {
 }
 SWEEP_SHA256 = ("ac260ac09796c80af92a741749b57d8c"
                 "9df76c89eabd7253b5c9d3a515e8d29b")
+# SHA-256 of the `compare` CSV on 3-2-4 seed 1 at the run's peak, and on
+# 5-4-13 seed 2 with a baseline fraction of 0.5
+COMPARE_SHA256 = {
+    (C324, "1", None): "59a687d2aee934734ba18fa1a6064c71"
+                       "fa5e534540254af0a7e9bac668fc1cc8",
+    (C5413, "2", "0.5"): "a9156fd4d825af78d5600fda3c425346"
+                         "4c3b01d49b2bddc27a6576aa18149012",
+}
 
 
 def artifacts(out):
@@ -311,6 +322,14 @@ class TestArtifactPins:
                      "--total-prbs", "100", "--total-prbs", "200",
                      "--seeds", "2", "--out", str(out)]) == EXIT_OK
         assert sha256(out) == SWEEP_SHA256
+
+    @pytest.mark.parametrize("config, seed, fraction", list(COMPARE_SHA256))
+    def test_compare_csv_pinned(self, tmp_path, config, seed, fraction):
+        out = tmp_path / "cmp.csv"
+        extra = [] if fraction is None else ["--baseline-fraction", fraction]
+        assert main(["compare", "--config", config, "--seed", seed,
+                     "--out", str(out)] + extra) == EXIT_OK
+        assert sha256(out) == COMPARE_SHA256[config, seed, fraction]
 
     @pytest.mark.parametrize("mode, solver, code, written", [
         ("smt", "definitely-not-a-solver-xyz", EXIT_SOLVER, {"model.smt2"}),

@@ -1,11 +1,12 @@
 import hashlib
 import io
 import itertools
+import re
 import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from prbslice.encoder import emit_smtlib, encode
 from prbslice.presets import PRESET_NAMES, preset_config, preset_scenario_spec
@@ -13,12 +14,17 @@ from prbslice.solver import default_solver_command
 from prbslice.smtlib_solver import (
     Interpreter,
     SmtError,
+    evaluate,
     parse,
     simplify,
     tokenize,
 )
 
 BOOLS = ("p0", "p1", "p2", "p3", "p4")
+INTS = ("n0", "n1")
+# every line boundary of str.splitlines
+LINE_ENDS = ("\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+             "\x85", "\u2028", "\u2029")
 
 
 def run_script(text: str) -> str:
@@ -27,10 +33,42 @@ def run_script(text: str) -> str:
     return out.getvalue()
 
 
+def line_tokenize(text: str) -> list:
+    """The line-by-line tokenizer that ``tokenize`` must agree with."""
+    lines = []
+    for line in text.splitlines():
+        cut = line.find(";")
+        lines.append(line if cut < 0 else line[:cut])
+    return re.findall(r"[()]|[^()\s]+", "\n".join(lines))
+
+
 class TestParsing:
     def test_tokenize_strips_comments(self):
         assert tokenize("(assert x) ; trailing\n; full line\n(check-sat)") == [
             "(", "assert", "x", ")", "(", "check-sat", ")"]
+        # a comment ends at \r, \r\n and \x0b as at \n, and at the end of
+        # the text, exactly as in the line-by-line tokenizer
+        for end in ("\r", "\r\n", "\x0b"):
+            text = f"(assert x) ; trailing{end}; full line{end}(check-sat)"
+            assert tokenize(text) == [
+                "(", "assert", "x", ")", "(", "check-sat", ")"], repr(end)
+            assert tokenize(text) == line_tokenize(text)
+        for text in ("(assert x) ; to the end (check-sat)", "(echo a);"):
+            assert tokenize(text) == line_tokenize(text)
+        assert tokenize("(assert x) ; to the end (check-sat)") == [
+            "(", "assert", "x", ")"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(
+        ("(", ")", ";", " ", "\t", "a", "-1", "7", "x;y") + LINE_ENDS),
+        max_size=30).map("".join))
+    def test_tokenize_matches_line_tokenizer(self, text):
+        assert tokenize(text) == line_tokenize(text)
+
+    def test_parse_interns_atoms(self):
+        first, second = parse(tokenize("(assert (= x 12)) (assert (= x 12))"))
+        assert first[1][1] is second[1][1]
+        assert first[1][2] == 12 and type(first[1][2]) is int
 
     def test_parse_nesting(self):
         forms = parse(tokenize("(assert (= (+ x 1) 2))"))
@@ -66,6 +104,62 @@ class TestSimplify:
     def test_ite(self):
         assert simplify(["ite", True, 1, 2], {}) == 1
         assert simplify(["ite", "c", 1, 2], {"c": False}) == 2
+
+
+def ground_terms():
+    """Terms over the whole operator set, of any sort mix (so ill-sorted
+    ones too); divisors are nonzero literals."""
+    leaves = st.one_of(st.sampled_from(BOOLS + INTS), st.booleans(),
+                       st.integers(-3, 3))
+
+    def nodes(sub):
+        return st.one_of(
+            st.tuples(st.sampled_from(("and", "or", "=>", "=", "xor",
+                                       "distinct", "+", "-", "*")),
+                      st.lists(sub, min_size=1, max_size=3)).map(
+                lambda p: [p[0], *p[1]]),
+            st.tuples(st.sampled_from(("<", "<=", ">", ">=")), sub, sub),
+            st.tuples(st.sampled_from(("div", "mod")), sub,
+                      st.sampled_from((-3, -2, -1, 1, 2, 3))),
+            st.tuples(st.sampled_from(("not", "abs")), sub),
+            st.tuples(st.just("ite"), sub, sub, sub),
+        ).map(list)
+
+    return st.recursive(leaves, nodes, max_leaves=12)
+
+
+ASSIGNMENTS = st.tuples(
+    st.lists(st.booleans(), min_size=len(BOOLS), max_size=len(BOOLS)),
+    st.lists(st.integers(-3, 3), min_size=len(INTS), max_size=len(INTS)),
+).map(lambda p: dict(zip(BOOLS + INTS, p[0] + p[1])))
+P0_TRUE = dict.fromkeys(BOOLS, False) | {"p0": True, "n0": 2, "n1": 2}
+
+
+class TestEvaluate:
+    @settings(max_examples=500, deadline=None)
+    @given(ground_terms(), ASSIGNMENTS)
+    @example(["=>", 3, True], P0_TRUE)
+    @example(["not", 5], P0_TRUE)
+    @example(["not", ["not", 5]], P0_TRUE)
+    @example(["=", ["not", ["not", 5]], 5], P0_TRUE)
+    @example(["=>", 5, False, False], P0_TRUE)
+    @example(["=>", "p0", "p0", "p1"], P0_TRUE)
+    @example(["=", "n0", "n1", 2], P0_TRUE)
+    @example(["not", ["=>", "p0", "p0", "p1"]], P0_TRUE)
+    def test_true_exactly_where_simplify_is_true(self, term, env):
+        assert (evaluate(term, env) is True) == (simplify(term, env) is True)
+        # the same value, residual forms of ill-sorted terms included
+        assert repr(evaluate(term, env)) == repr(simplify(term, env))
+
+    def test_deciding_argument_ends_evaluation(self):
+        # simplify evaluates every argument, so a zero divisor under a
+        # false guard raises there; evaluate stops at the guard
+        dead = ["=>", False, ["=", ["div", 1, 0], 1]]
+        with pytest.raises(SmtError, match="division by zero"):
+            simplify(dead, {})
+        assert evaluate(dead, {}) is True
+        with pytest.raises(SmtError, match="division by zero"):
+            evaluate(["=>", True, ["=", ["div", 1, 0], 1]], {})
 
 
 class TestSolving:
@@ -243,6 +337,22 @@ class TestStatistics:
         # the third clashes with c; a = false wakes them again
         assert stats == {":propagations": 9, ":splits": 1, ":conflicts": 1}
 
+    def test_conjuncts_propagate_before_later_terms(self):
+        # the conjuncts of assertion 0 run before assertion 1, so y is set
+        # when (= z (+ y 1)) is first simplified: 0, 2, 3, 1 and no wake-up
+        stats = statistics("(declare-const x Int)(declare-const y Int)"
+                           "(declare-const z Int)"
+                           "(assert (and (= x 1) (= y (+ x 1))))"
+                           "(assert (= z (+ y 1)))(check-sat)")
+        assert stats == {":propagations": 4, ":splits": 0, ":conflicts": 0}
+
+    def test_deep_horizon_propagations_pinned(self):
+        config = preset_config("5-4-13", total_prbs=200, horizon=70)
+        scenario = preset_scenario_spec("5-4-13").generate(config, 1)
+        stats = statistics(emit_smtlib(encode(config, scenario)))
+        assert stats == {":propagations": 14700, ":splits": 0,
+                         ":conflicts": 0}
+
     def test_statistics_zero_before_check_sat(self):
         assert statistics("") == {
             ":propagations": 0, ":splits": 0, ":conflicts": 0}
@@ -356,7 +466,11 @@ class TestMainEntry:
     @pytest.mark.parametrize("script", [
         "(assert 5)(check-sat)",
         "(declare-const x Int)(assert (+ x 1))(assert (= x 2))(check-sat)",
-    ], ids=["int-literal", "int-term"])
+        "(declare-const x Int)(assert x)(assert (= x 2))(check-sat)",
+        "(declare-const x Int)(assert (and x (= x 2)))(check-sat)",
+        "(declare-const b Bool)(assert (= b 3))(check-sat)",
+    ], ids=["int-literal", "int-term", "int-symbol-as-formula",
+            "int-symbol-as-conjunct", "bool-symbol-given-int"])
     def test_ill_sorted_assertion_reports_error(self, script):
         proc = subprocess.run(default_solver_command(), input=script,
                               capture_output=True, text=True)
