@@ -57,8 +57,8 @@ class RunManifest:
     command because the bundled solver is the default."""
 
     config_path: str
-    mode: str                       # oracle | smt | differential
-    out_dir: str
+    mode: str = "oracle"            # oracle | smt | differential
+    out_dir: str = ""
     seed: Optional[int] = None
     scenario_path: Optional[str] = None
     scenario_spec_path: Optional[str] = None
@@ -263,7 +263,7 @@ def cmd_sweep(config_paths: Sequence[str], prb_values: Sequence[int],
     for path in config_paths:
         for prbs in prb_values:
             # infeasible (config, total_prbs) pairs produce a note, not rows
-            manifest = RunManifest(config_path=path, mode=mode, out_dir="",
+            manifest = RunManifest(config_path=path, mode=mode,
                                    solver_cmd=solver_cmd, timeout=timeout,
                                    total_prbs=prbs, horizon=horizon)
             try:
@@ -332,22 +332,35 @@ def cmd_compare(manifest: RunManifest,
     return EXIT_OK
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, pinned: bool,
+                solver: bool) -> None:
+    """Add ``--scenario`` only when ``pinned``, solver options only when
+    ``solver``: a subcommand takes only the options it reads."""
     p.add_argument("--config", required=True, help="config JSON path")
-    p.add_argument("--scenario", help="pinned scenario JSON path")
+    if pinned:
+        p.add_argument("--scenario", help="pinned scenario JSON path")
     p.add_argument("--seed", type=int, help="scenario generation seed")
     p.add_argument("--scenario-spec",
                    help="distribution spec JSON (default: sibling "
                         "<config>.scenario.json, else built-in rates)")
-    p.add_argument("--solver-cmd",
-                   help="solver command template; '{script}' expands to a "
-                        "temp file path, otherwise the script arrives on "
-                        "stdin (env PRBSLICE_SOLVER_CMD, then the bundled "
-                        "solver, when omitted)")
-    p.add_argument("--timeout", type=float, default=120.0,
-                   help="solver timeout in seconds")
+    if solver:
+        p.add_argument("--solver-cmd",
+                       help="solver command template; '{script}' expands to "
+                            "a temp file path, otherwise the script arrives "
+                            "on stdin (env PRBSLICE_SOLVER_CMD, then the "
+                            "bundled solver, when omitted)")
+        p.add_argument("--timeout", type=float, default=120.0,
+                       help="solver timeout in seconds")
     p.add_argument("--total-prbs", type=int, help="override the PRB budget")
     p.add_argument("--horizon", type=int, help="override the horizon")
+
+
+def _manifest(args: argparse.Namespace, **fields) -> RunManifest:
+    """The options ``_add_common`` always adds, plus ``fields``."""
+    return RunManifest(config_path=args.config, seed=args.seed,
+                       scenario_spec_path=args.scenario_spec,
+                       total_prbs=args.total_prbs, horizon=args.horizon,
+                       **fields)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -357,7 +370,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="single reproducible run")
-    _add_common(p_run)
+    _add_common(p_run, pinned=True, solver=True)
     p_run.add_argument("--mode", choices=("oracle", "smt", "differential"),
                        default="oracle")
     p_run.add_argument("--out", required=True, help="output directory")
@@ -381,14 +394,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     p_cmp = sub.add_parser("compare",
                            help="premium share vs static baseline")
-    _add_common(p_cmp)
+    _add_common(p_cmp, pinned=True, solver=False)
     p_cmp.add_argument("--baseline-fraction", type=float,
                        help="premium fraction of total PRBs the baseline "
                             "pins at j=0 (default: the adaptive run's peak)")
     p_cmp.add_argument("--out", required=True, help="output CSV path")
 
-    p_gen = sub.add_parser("gen-scenario", help="pin a generated scenario")
-    _add_common(p_gen)
+    # no abbreviations, so a --scenario is not taken for --scenario-spec
+    p_gen = sub.add_parser("gen-scenario", help="pin a generated scenario",
+                           allow_abbrev=False)
+    _add_common(p_gen, pinned=False, solver=False)
     p_gen.add_argument("--out", required=True, help="output JSON path")
 
     p_val = sub.add_parser("validate-config", help="validate and exit")
@@ -418,24 +433,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             horizon=args.horizon,
         )
 
-    manifest = RunManifest(
-        config_path=args.config,
-        mode=getattr(args, "mode", "oracle"),
-        out_dir=getattr(args, "out", ""),
-        seed=args.seed,
-        scenario_path=args.scenario,
-        scenario_spec_path=args.scenario_spec,
-        solver_cmd=args.solver_cmd,
-        timeout=args.timeout,
-        total_prbs=args.total_prbs,
-        horizon=args.horizon,
-    )
-
     if args.command == "run":
-        return cmd_run(manifest)
+        return cmd_run(_manifest(
+            args, mode=args.mode, out_dir=args.out,
+            scenario_path=args.scenario, solver_cmd=args.solver_cmd,
+            timeout=args.timeout))
     if args.command == "compare":
-        return cmd_compare(manifest, args.baseline_fraction, args.out)
+        return cmd_compare(_manifest(args, scenario_path=args.scenario),
+                           args.baseline_fraction, args.out)
     if args.command == "gen-scenario":
+        manifest = _manifest(args)
         try:
             config = _load_config(manifest)
             if manifest.seed is None:

@@ -100,8 +100,7 @@ def encode(config: NetworkConfig, scenario: ScenarioTrace) -> ConstraintSet:
     scenario.check_dimensions(config)
 
     horizon = config.horizon
-    slices = sorted(config.slices, key=lambda s: s.slice_id)
-    caps = {sl.slice_id: sl.usage_cap for sl in slices}
+    slices = config.slices
     floor = config.overuse_floor
 
     decls: list[tuple[str, str]] = []
@@ -123,30 +122,30 @@ def encode(config: NetworkConfig, scenario: ScenarioTrace) -> ConstraintSet:
                 decl(v_rmid(i, j), "Int")
                 for fn in (v_en, v_lv, v_top, v_ramp):
                     decl(fn(i, j), "Bool")
-        for k in sorted(config.partitions):
+        for k in config.partitions:
             decl(v_pt(k, j), "Int")
         decl(v_rp(j), "Int")
         if j >= 1:
             decl(v_ovr(j), "Bool")
-            for svc in sorted(config.services, key=lambda s: s.service_id):
+            for svc in config.services:
                 decl(v_se(svc.service_id, j), "Bool")
 
     # initial state
     for sl in slices:
-        i = sl.slice_id
+        i, cap = sl.slice_id, sl.usage_cap
         emit("initial", f"(= {v_usr(i, 0)} 0)")
         emit("initial", f"(= {v_usg(i, 0)} 0)")
         emit("initial", f"(= {v_ew(i, 0)} 0)")
-        emit("initial", f"(= {v_shr(i, 0)} {caps[i]})")
-        emit("initial", f"(= {v_resi(i, 0)} {caps[i]})")
-    for k in sorted(config.partitions):
-        total = sum(caps[i] for i in config.partitions[k])
+        emit("initial", f"(= {v_shr(i, 0)} {cap})")
+        emit("initial", f"(= {v_resi(i, 0)} {cap})")
+    for k, members in config.partitions.items():
+        total = sum(slices[i - 1].usage_cap for i in members)
         emit("initial", f"(= {v_pt(k, 0)} {total})")
     emit("initial", f"(= {v_rp(0)} {config.initial_residual})")
 
     # scenario pins
     for j in range(1, horizon + 1):
-        for svc in sorted(config.services, key=lambda s: s.service_id):
+        for svc in config.services:
             flag = scenario.arrivals[svc.service_id - 1][j - 1]
             emit("scenario",
                  f"(= {v_se(svc.service_id, j)} {'true' if flag else 'false'})")
@@ -160,7 +159,7 @@ def encode(config: NetworkConfig, scenario: ScenarioTrace) -> ConstraintSet:
         emit("closure", f"(= {v_ovr(j)} (< {v_rp(j - 1)} {floor}))")
 
         # per-service entry rules
-        for svc in sorted(config.services, key=lambda s: s.service_id):
+        for svc in config.services:
             mu = svc.service_id
             owned = config.service_slices(mu)
             if len(owned) == 1:
@@ -186,7 +185,7 @@ def encode(config: NetworkConfig, scenario: ScenarioTrace) -> ConstraintSet:
 
         # slice layer
         for sl in slices:
-            i = sl.slice_id
+            i, cap = sl.slice_id, sl.usage_cap
             en = v_en(i, j)
             lv = v_lv(i, j)
             up = _and(en, f"(not {lv})")
@@ -230,12 +229,12 @@ def encode(config: NetworkConfig, scenario: ScenarioTrace) -> ConstraintSet:
 
             if j % sl.t_win == 0:
                 top_cond = _and(f"(not {v_ovr(j)})",
-                                f"(<= {v_rmid(i, j)} {caps[i]})")
+                                f"(<= {v_rmid(i, j)} {cap})")
                 emit("top-signal", _imp(top_cond, v_top(i, j)))
                 emit("closure",
                      _imp(f"(not {top_cond})", f"(not {v_top(i, j)})"))
                 ramp_cond = _and(
-                    f"(>= (- {v_rmid(i, j)} {caps[i]}) {caps[i]})",
+                    f"(>= (- {v_rmid(i, j)} {cap}) {cap})",
                     f"(= {v_ew(i, j)} 0)")
                 emit("ramp-signal", _imp(ramp_cond, v_ramp(i, j)))
                 emit("closure",
@@ -251,9 +250,9 @@ def encode(config: NetworkConfig, scenario: ScenarioTrace) -> ConstraintSet:
 
         # partition layer: a boundary slice moves by its own cap, the
         # partition share by the sum of its members' moves
-        for k in sorted(config.partitions):
+        for k, members in config.partitions.items():
             moves = []
-            for sl in config.partition_slices(k):
+            for sl in (slices[i - 1] for i in members):
                 i, cap = sl.slice_id, sl.usage_cap
                 shr, shr_prev = v_shr(i, j), v_shr(i, j - 1)
                 resi, rmid = v_resi(i, j), v_rmid(i, j)
@@ -278,7 +277,7 @@ def encode(config: NetworkConfig, scenario: ScenarioTrace) -> ConstraintSet:
 
         # system layer: the residual absorbs the net partition moves
         give_back = " ".join(f"(- {v_pt(k, j - 1)} {v_pt(k, j)})"
-                             for k in sorted(config.partitions))
+                             for k in config.partitions)
         emit("residual-adjust",
              f"(= {v_rp(j)} (+ {v_rp(j - 1)} {give_back}))")
 

@@ -10,7 +10,9 @@ unit by which shares ever grow or shrink.
 
 This module owns the configuration types, their validation rules, and the
 closed-form formulas (window usage cap, PRB-to-throughput conversion, and the
-constraint-count bound used to sanity-check the SMT encoding size).
+constraint-count bound used to sanity-check the SMT encoding size).  It is
+also the one place that decides id order: every other module reads slice i
+as ``config.slices[i - 1]`` and service mu as ``config.services[mu - 1]``.
 """
 
 from __future__ import annotations
@@ -148,8 +150,10 @@ class SliceSpec:
 class NetworkConfig:
     """A full service/partition/slice topology plus the PRB budget.
 
-    ``partitions`` maps partition id (1..K) to the ordered slice ids it
-    contains.  ``overuse_fraction`` is the residual-partition floor expressed
+    ``partitions`` maps partition id (1..K) to the slice ids it contains.
+    Ids may be listed in any order: construction puts ``services`` and
+    ``slices`` in id order and ``partitions`` in key order, members
+    ascending.  ``overuse_fraction`` is the residual-partition floor expressed
     as a fraction of ``total_prbs``; the residual partition counts as overused
     whenever its share drops strictly below ``ceil(fraction * total_prbs)``.
     ``timestep_minutes`` is reporting metadata only.
@@ -163,6 +167,16 @@ class NetworkConfig:
     overuse_fraction: Fraction = Fraction(1, 2)
     timestep_minutes: Fraction = Fraction(1)
     name: str = ""
+
+    def __post_init__(self) -> None:
+        set_field = object.__setattr__     # the dataclass is frozen
+        set_field(self, "services", tuple(
+            sorted(self.services, key=lambda s: s.service_id)))
+        set_field(self, "slices", tuple(
+            sorted(self.slices, key=lambda s: s.slice_id)))
+        set_field(self, "partitions", {
+            k: tuple(sorted(self.partitions[k]))
+            for k in sorted(self.partitions)})
 
     # -- derived views -------------------------------------------------
 
@@ -178,27 +192,9 @@ class NetworkConfig:
     def num_partitions(self) -> int:
         return len(self.partitions)
 
-    def slice_by_id(self, slice_id: int) -> SliceSpec:
-        for sl in self.slices:
-            if sl.slice_id == slice_id:
-                return sl
-        raise KeyError(f"no slice with id {slice_id}")
-
-    def service_by_id(self, service_id: int) -> ServiceSpec:
-        for svc in self.services:
-            if svc.service_id == service_id:
-                return svc
-        raise KeyError(f"no service with id {service_id}")
-
     def service_slices(self, service_id: int) -> tuple[SliceSpec, ...]:
         """Slices owned by a service, in slice-id order."""
-        return tuple(
-            sl for sl in sorted(self.slices, key=lambda s: s.slice_id)
-            if sl.service_id == service_id
-        )
-
-    def partition_slices(self, partition_id: int) -> tuple[SliceSpec, ...]:
-        return tuple(self.slice_by_id(i) for i in self.partitions[partition_id])
+        return tuple(sl for sl in self.slices if sl.service_id == service_id)
 
     @property
     def premium_service(self) -> ServiceSpec:
@@ -225,15 +221,12 @@ class NetworkConfig:
         """Check every structural rule; raise ConfigError on the first group."""
         problems: list[str] = []
 
-        svc_ids = sorted(s.service_id for s in self.services)
-        if svc_ids != list(range(1, len(self.services) + 1)):
-            problems.append(f"service ids must be contiguous 1..S, got {svc_ids}")
-        sl_ids = sorted(s.slice_id for s in self.slices)
-        if sl_ids != list(range(1, len(self.slices) + 1)):
-            problems.append(f"slice ids must be contiguous 1..N, got {sl_ids}")
-        pt_ids = sorted(self.partitions)
-        if pt_ids != list(range(1, len(self.partitions) + 1)):
-            problems.append(f"partition ids must be contiguous 1..K, got {pt_ids}")
+        for kind, ids in (("service", [s.service_id for s in self.services]),
+                          ("slice", [s.slice_id for s in self.slices]),
+                          ("partition", list(self.partitions))):
+            if ids != list(range(1, len(ids) + 1)):
+                problems.append(f"{kind} ids must be contiguous "
+                                f"1..{len(ids)}, got {ids}")
         if self.total_prbs < 1:
             problems.append("total_prbs must be >= 1")
         if self.horizon < 0:

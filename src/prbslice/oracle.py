@@ -91,8 +91,8 @@ def conservation(st: SystemState, total_prbs: int) -> Optional[str]:
 def partition_consistency(st: SystemState,
                           partitions: Mapping) -> Optional[str]:
     """Each partition share is the sum of its member slices' shares."""
-    for k in sorted(partitions):
-        expected = sum(st.slices[i - 1].shr for i in partitions[k])
+    for k, members in partitions.items():
+        expected = sum(st.slices[i - 1].shr for i in members)
         if st.pt_shr[k - 1] != expected:
             return (f"partition {k}: pt_shr {st.pt_shr[k - 1]} != "
                     f"sum of member shares {expected}")
@@ -161,9 +161,8 @@ class AllocationTrace:
             slices = tuple(_slice_state(rows[i])
                            for i in range(1, config.num_slices + 1))
             pt = [0] * config.num_partitions
-            for i in range(1, config.num_slices + 1):
-                k = config.slice_by_id(i).partition_id
-                pt[k - 1] = int(rows[i]["pt_shr"])
+            for i, sl in enumerate(config.slices, start=1):
+                pt[sl.partition_id - 1] = int(rows[i]["pt_shr"])
             any_row = rows[1]
             states.append(SystemState(
                 j=j, slices=slices, pt_shr=tuple(pt),
@@ -203,6 +202,7 @@ class AllocationTrace:
             )
             for s in doc["states"]
         )
+        check_timesteps(states, config.horizon)
         return cls(config=config, scenario=None, states=states)
 
 
@@ -391,10 +391,9 @@ class ForwardSimulator:
     def __init__(self, config: NetworkConfig):
         config.validate()
         self.config = config
-        slices = sorted(config.slices, key=lambda s: s.slice_id)
-        self.caps = [sl.usage_cap for sl in slices]
-        self.windows = [sl.t_win for sl in slices]
-        self.ms = [sl.m for sl in slices]
+        self.caps = [sl.usage_cap for sl in config.slices]
+        self.windows = [sl.t_win for sl in config.slices]
+        self.ms = [sl.m for sl in config.slices]
         self.floor = config.overuse_floor
 
     def initial_state(self) -> SystemState:
@@ -404,12 +403,10 @@ class ForwardSimulator:
                        en=False, lv=False, top=False, ramp=False)
             for cap in self.caps
         )
-        pt = tuple(
-            sum(self.caps[i - 1] for i in cfg.partitions[k])
-            for k in sorted(cfg.partitions)
-        )
+        pt = tuple(sum(self.caps[i - 1] for i in members)
+                   for members in cfg.partitions.values())
         return SystemState(j=0, slices=slices, pt_shr=pt,
-                           rp_shr=cfg.total_prbs - sum(self.caps), rp_ovr=False)
+                           rp_shr=cfg.initial_residual, rp_ovr=False)
 
     def step(
         self,
@@ -449,9 +446,9 @@ class ForwardSimulator:
         shr = list(shr_prev)
         resi = list(resi_mid)
         pt = list(prev.pt_shr)
-        for k in sorted(cfg.partitions):
+        for k, members in cfg.partitions.items():
             updated, pt_k = partition_adjust(
-                self.caps, cfg.partitions[k], top, ramp,
+                self.caps, members, top, ramp,
                 shr_prev, resi_mid, prev.pt_shr[k - 1],
             )
             pt[k - 1] = pt_k

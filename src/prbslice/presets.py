@@ -190,10 +190,9 @@ def preset_scenario_spec(name: str) -> ScenarioSpec:
 
 def default_scenario_spec(config: NetworkConfig) -> ScenarioSpec:
     """Generic fallback intensities for configs without a calibrated file:
-    flag rates step down with priority rank."""
+    flag rates step down with priority rank, ties in service-id order."""
     rates = {}
-    ranked = sorted(config.services, key=lambda s: (s.priority_rank,
-                                                    s.service_id))
+    ranked = sorted(config.services, key=lambda s: s.priority_rank)
     for pos, svc in enumerate(ranked):
         rates[svc.service_id] = DistributionSpec(
             "bernoulli", {"p": max(0.10, 0.40 - 0.05 * pos)}, 0.5)

@@ -97,11 +97,9 @@ def check_all(trace: AllocationTrace, config: NetworkConfig) -> PropertyReport:
     """Evaluate every invariant over the complete trace; a trace whose
     states are not j = 0..horizon in order raises ValueError."""
     check_timesteps(trace.states, config.horizon)
-    caps = [config.slice_by_id(i).usage_cap
-            for i in range(1, config.num_slices + 1)]
-    wins = [config.slice_by_id(i).t_win
-            for i in range(1, config.num_slices + 1)]
-    ms = [config.slice_by_id(i).m for i in range(1, config.num_slices + 1)]
+    caps = [sl.usage_cap for sl in config.slices]
+    wins = [sl.t_win for sl in config.slices]
+    ms = [sl.m for sl in config.slices]
     floor = config.overuse_floor
     states = trace.states
     steps = list(zip(states, states[1:]))       # (previous, current) pairs
@@ -257,8 +255,7 @@ def compute_metrics(
     params: ThroughputParams = ThroughputParams(),
 ) -> MetricsBundle:
     states = trace.states
-    caps = [config.slice_by_id(i).usage_cap
-            for i in range(1, config.num_slices + 1)]
+    caps = [sl.usage_cap for sl in config.slices]
     premium = set(config.premium_slice_ids)
     per_prb = nominal_throughput(params, 1)
 
@@ -321,43 +318,41 @@ def baseline_overprovision(
     config.validate()
     scenario.check_dimensions(config)
     frac = Fraction(premium_share_fraction).limit_denominator(10 ** 9)
-    premium_ids = list(config.premium_slice_ids)
-    caps = {sl.slice_id: sl.usage_cap for sl in config.slices}
-    need = sum(caps[i] for i in premium_ids)
+    premium_ids = config.premium_slice_ids
+    caps = [sl.usage_cap for sl in config.slices]
+    need = sum(caps[i - 1] for i in premium_ids)
     if frac * config.total_prbs < need:
         raise ConfigError(
             f"premium fraction {frac} grants fewer PRBs than the premium "
             f"slices' combined cap {need}"
         )
     premium_total = math.ceil(frac * config.total_prbs)
-    shares = dict(caps)
+    shares = list(caps)
     base, rem = divmod(premium_total, len(premium_ids))
-    for pos, i in enumerate(sorted(premium_ids)):
-        shares[i] = base + (1 if pos < rem else 0)
-    if any(shares[i] < caps[i] for i in premium_ids):
+    for pos, i in enumerate(premium_ids):
+        shares[i - 1] = base + (1 if pos < rem else 0)
+    if any(shares[i - 1] < caps[i - 1] for i in premium_ids):
         raise ConfigError(
             "premium fraction too small to give every premium slice its cap")
-    rp = config.total_prbs - sum(shares.values())
+    rp = config.total_prbs - sum(shares)
     if rp < 0:
         raise ConfigError(
             f"baseline allocation exceeds the budget by {-rp} PRBs")
 
-    ms = {sl.slice_id: sl.m for sl in config.slices}
-    wins = {sl.slice_id: sl.t_win for sl in config.slices}
+    ms = [sl.m for sl in config.slices]
+    wins = [sl.t_win for sl in config.slices]
     n = config.num_slices
+    pt = tuple(sum(shares[i - 1] for i in members)
+               for members in config.partitions.values())
 
     def make_state(j, usr, usg, entries, en, lv):
         slices = tuple(
             SliceState(
-                usr=usr[i], shr=shares[i + 1], usg=usg[i],
-                resi=shares[i + 1] - usg[i], entries=entries[i],
+                usr=usr[i], shr=shares[i], usg=usg[i],
+                resi=shares[i] - usg[i], entries=entries[i],
                 en=en[i], lv=lv[i], top=False, ramp=False,
             )
             for i in range(n)
-        )
-        pt = tuple(
-            sum(shares[i] for i in config.partitions[k])
-            for k in sorted(config.partitions)
         )
         return SystemState(j=j, slices=slices, pt_shr=pt, rp_shr=rp,
                            rp_ovr=False)
@@ -372,16 +367,15 @@ def baseline_overprovision(
         lv = [bool(row[j - 1]) and usr[idx] >= 1
               for idx, row in enumerate(scenario.departures)]
         for idx in range(n):
-            i = idx + 1
             if en[idx] and not lv[idx]:
-                would_use = -(-(usr[idx] + 1) // ms[i])
-                if would_use > shares[i]:
+                would_use = -(-(usr[idx] + 1) // ms[idx])
+                if would_use > shares[idx]:
                     en[idx] = False      # slice is full, entry dropped
         usr = [step_user_count(usr[idx], en[idx], lv[idx])
                for idx in range(n)]
-        entries = [step_window_entries(entries[idx], en[idx], j, wins[idx + 1])
+        entries = [step_window_entries(entries[idx], en[idx], j, wins[idx])
                    for idx in range(n)]
-        usg = [-(-usr[idx] // ms[idx + 1]) for idx in range(n)]
+        usg = [-(-usr[idx] // ms[idx]) for idx in range(n)]
         states.append(make_state(j, usr, usg, entries, en, lv))
     return AllocationTrace(config=config, scenario=scenario,
                            states=tuple(states))

@@ -215,10 +215,10 @@ def gen_scenario(
         tuple(gen_arrivals(per_service[svc.service_id],
                            _derive_seed(seed, _ARRIVAL_STREAM, svc.service_id),
                            horizon))
-        for svc in sorted(config.services, key=lambda s: s.service_id)
+        for svc in config.services
     )
     coins = []
-    for sl in sorted(config.slices, key=lambda s: s.slice_id):
+    for sl in config.slices:
         rng = np.random.default_rng(
             _derive_seed(seed, _DEPARTURE_STREAM, sl.slice_id))
         coins.append(rng.random(horizon) < departure_rate)

@@ -36,11 +36,13 @@ and ``:conflicts`` (branches closed by a conflict).
 Supported commands: set-logic, set-info, set-option, declare-const,
 declare-fun (zero arity), assert, check-sat, get-model, get-info, echo,
 exit.  Supported theory symbols: true false not and or => xor ite =
-distinct + - * div mod abs < <= > >=.
+distinct + - * div mod abs < <= > >=; a comparison may chain, as in
+``(< a b c)``.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 import sys
 from collections import deque
@@ -48,6 +50,8 @@ from collections import deque
 _COMMENT = re.compile(r";[^\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]*")
 _INT = re.compile(r"-?\d+\Z")
 STATISTICS = (":propagations", ":splits", ":conflicts")
+_COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
+            ">=": operator.ge}
 
 
 class SmtError(Exception):
@@ -188,6 +192,8 @@ def simplify(t, env):
             return len(set(args)) == len(args)
         return ["distinct"] + args
     if op == "ite":
+        if len(args) != 3:
+            raise SmtError(f"ite takes 3 arguments, got {len(args)}")
         c, a, b = args
         if c is True:
             return a
@@ -248,10 +254,15 @@ def simplify(t, env):
         return ["mod"] + args
     if op == "abs":
         return abs(args[0]) if _is_val(args[0]) else ["abs", args[0]]
-    if op in ("<", "<=", ">", ">="):
+    if op in _COMPARE:
+        if len(args) < 2:
+            raise SmtError(f"{op} takes at least 2 arguments, got {len(args)}")
         if _all_vals(args):
-            a, b = args
-            return {"<": a < b, "<=": a <= b, ">": a > b, ">=": a >= b}[op]
+            # a chain holds when each adjacent pair does
+            cmp = _COMPARE[op]
+            if len(args) == 2:
+                return cmp(args[0], args[1])
+            return all(map(cmp, args, args[1:]))
         return [op] + args
     raise SmtError(f"unsupported operator {op!r}")
 

@@ -205,8 +205,7 @@ def extract_trace(
         states.append(SystemState(
             j=j,
             slices=tuple(slices),
-            pt_shr=tuple(int(lookup(v_pt(k, j)))
-                         for k in sorted(config.partitions)),
+            pt_shr=tuple(int(lookup(v_pt(k, j))) for k in config.partitions),
             rp_shr=rp,
             rp_ovr=ovr,
         ))

@@ -67,7 +67,7 @@ def constant_arrivals(config: NetworkConfig, pattern) -> ScenarioTrace:
     ``pattern`` maps service_id -> bool or a per-timestep list."""
     horizon = config.horizon
     rows = []
-    for svc in sorted(config.services, key=lambda s: s.service_id):
+    for svc in config.services:
         val = pattern.get(svc.service_id, False)
         if isinstance(val, bool):
             rows.append(tuple([val] * horizon))

@@ -165,6 +165,26 @@ class TestRun:
                      "--out", str(out)]) == EXIT_OK
 
 
+class TestOptions:
+    @pytest.mark.parametrize("command, option, value", [
+        ("compare", "--solver-cmd", "bogus"),
+        ("compare", "--timeout", "1"),
+        ("gen-scenario", "--scenario", "pinned.json"),
+        ("gen-scenario", "--solver-cmd", "bogus"),
+        ("gen-scenario", "--timeout", "1"),
+    ])
+    def test_unread_option_rejected(self, tmp_path, capsys, command, option,
+                                    value):
+        # each subcommand takes only the options it reads
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", C324, "--seed", "1",
+                  "--out", str(tmp_path / "out"), option, value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {option} {value}" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 class TestSweep:
     def test_matrix_row_count_skips_infeasible(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -315,6 +335,31 @@ class TestArtifactPins:
         assert artifacts(out) == MODE_ARTIFACTS[mode]
         for name in MODE_ARTIFACTS[mode]:
             assert sha256(out / name) == ARTIFACT_SHA256[name], name
+
+    def test_reversed_config_artifacts_pinned(self, tmp_path):
+        # services, slices, partitions and partition members listed in
+        # reverse id order: every artifact, and the config.json written,
+        # match the in-order run
+        doc = json.loads(Path(C324).read_text())
+        doc["services"].reverse()
+        doc["slices"].reverse()
+        doc["partitions"] = {k: v[::-1]
+                             for k, v in reversed(doc["partitions"].items())}
+        config = tmp_path / "config_3_2_4.json"
+        config.write_text(json.dumps(doc))
+        sibling = Path(C324).with_suffix(".scenario.json")
+        (tmp_path / sibling.name).write_text(sibling.read_text())
+        runs = {}
+        for name, path in (("reversed", config), ("in-order", C324)):
+            runs[name] = tmp_path / name
+            assert main(["run", "--config", str(path), "--seed", "1",
+                         "--horizon", "10", "--mode", "differential",
+                         "--out", str(runs[name])]) == EXIT_OK
+        for name in MODE_ARTIFACTS["differential"]:
+            assert sha256(runs["reversed"] / name) == ARTIFACT_SHA256[name], \
+                name
+        assert ((runs["reversed"] / "config.json").read_text()
+                == (runs["in-order"] / "config.json").read_text())
 
     def test_oracle_sweep_csv_pinned(self, tmp_path):
         out = tmp_path / "sweep.csv"

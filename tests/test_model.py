@@ -16,7 +16,7 @@ from prbslice.model import (
     nominal_throughput,
     throughput,
 )
-from prbslice.presets import preset_config
+from prbslice.presets import PRESET_NAMES, preset_config
 
 from helpers import single_slice_config, two_premium_config
 
@@ -176,6 +176,26 @@ class TestConfigValidation:
         assert cfg.overuse_floor == math.ceil(8 / 3)
 
 
+class TestIdOrder:
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_reversed_listing_equals_preset(self, name):
+        cfg = preset_config(name)
+        rev = replace(cfg, services=cfg.services[::-1],
+                      slices=cfg.slices[::-1],
+                      partitions={k: v[::-1] for k, v
+                                  in reversed(cfg.partitions.items())})
+        assert rev == cfg
+        assert rev.to_json() == cfg.to_json()
+        for i in range(1, rev.num_slices + 1):
+            assert rev.slices[i - 1].slice_id == i
+        for mu in range(1, rev.num_services + 1):
+            assert rev.services[mu - 1].service_id == mu
+        # dict equality ignores key order, so check it directly
+        assert list(rev.partitions) == list(range(1, rev.num_partitions + 1))
+        for members in rev.partitions.values():
+            assert list(members) == sorted(members)
+
+
 class TestConfigJson:
     def test_round_trip(self):
         for name in ("3-2-4", "5-4-13"):
@@ -187,7 +207,7 @@ class TestConfigJson:
         cfg = preset_config("3-2-4")
         doc = cfg.to_json().replace('"provision": true,', '')
         again = NetworkConfig.from_json(doc)
-        assert again.service_by_id(1).provision is True
+        assert again.services[0].provision is True
 
     def test_malformed_rejected(self):
         with pytest.raises(ConfigError):

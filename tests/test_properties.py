@@ -80,6 +80,14 @@ class TestTimesteps:
         with pytest.raises(ValueError, match=r"missing j = \[30\]"):
             AllocationTrace.from_csv("".join(kept), config)
 
+    def test_json_missing_a_timestep_rejected(self, small_run):
+        # the same rule as the CSV reader
+        config, _, trace = small_run
+        doc = json.loads(trace.to_json())
+        doc["states"] = [s for s in doc["states"] if s["j"] != 5]
+        with pytest.raises(ValueError, match=r"missing j = \[5\]"):
+            AllocationTrace.from_json(json.dumps(doc), config)
+
     @pytest.mark.parametrize("cut", ["last", "middle", "swap"])
     def test_check_all_rejects_gaps_and_disorder(self, small_run, cut):
         config, _, trace = small_run
@@ -313,7 +321,7 @@ class TestBaseline:
     def test_exact_fraction_matches_initial_share(self):
         config = preset_config("3-2-4", horizon=4)   # below every window
         scenario = empty_scenario(config)
-        caps = sum(config.slice_by_id(i).usage_cap
+        caps = sum(config.slices[i - 1].usage_cap
                    for i in config.premium_slice_ids)
         base = baseline_overprovision(config, scenario,
                                       Fraction(caps, config.total_prbs))

@@ -118,7 +118,9 @@ def ground_terms():
                                        "distinct", "+", "-", "*")),
                       st.lists(sub, min_size=1, max_size=3)).map(
                 lambda p: [p[0], *p[1]]),
-            st.tuples(st.sampled_from(("<", "<=", ">", ">=")), sub, sub),
+            st.tuples(st.sampled_from(("<", "<=", ">", ">=")),
+                      st.lists(sub, min_size=2, max_size=3)).map(
+                lambda p: [p[0], *p[1]]),
             st.tuples(st.sampled_from(("div", "mod")), sub,
                       st.sampled_from((-3, -2, -1, 1, 2, 3))),
             st.tuples(st.sampled_from(("not", "abs")), sub),
@@ -264,6 +266,17 @@ class TestSolving:
         """)
         assert "(define-fun x () Int 0)" in out
         assert "(define-fun b () Bool false)" in out
+
+    @pytest.mark.parametrize("script, verdict", [
+        ("(assert (< 1 2 3))", "sat"),
+        ("(assert (< 1 3 2))", "unsat"),
+        ("(assert (>= 3 3 1))", "sat"),
+        ("(declare-const x Int)(assert (= x 2))(assert (< 1 x 3))", "sat"),
+        ("(declare-const x Int)(assert (= x 3))(assert (< 1 x 3))", "unsat"),
+    ])
+    def test_chained_comparison(self, script, verdict):
+        # each adjacent pair must hold
+        assert run_script(script + "(check-sat)").strip() == verdict
 
     def test_distinct_and_xor(self):
         assert "unsat" in run_script("(assert (distinct 1 1)) (check-sat)")
@@ -462,6 +475,17 @@ class TestMainEntry:
             capture_output=True, text=True)
         assert proc.returncode == 3
         assert "error" in proc.stdout
+
+    @pytest.mark.parametrize("script, message", [
+        ("(assert (< 1))(check-sat)", "< takes at least 2 arguments, got 1"),
+        ("(assert (ite true 1))(check-sat)", "ite takes 3 arguments, got 2"),
+    ])
+    def test_wrong_arity_reports_error(self, script, message):
+        proc = subprocess.run(default_solver_command(), input=script,
+                              capture_output=True, text=True)
+        assert proc.returncode == 3
+        assert proc.stdout == f'(error "{message}")\n'
+        assert proc.stderr == ""
 
     @pytest.mark.parametrize("script", [
         "(assert 5)(check-sat)",
