@@ -10,13 +10,15 @@ Subcommands
 ``run``, ``compare``, ``sweep`` and the acceptance batch share
 ``run_pipeline``, and ``STATUS_MAP`` turns its status into the exit code of
 ``run`` and ``compare`` (which runs it in oracle mode): 0 success, 2
-validation failure (also a pinned scenario the simulator rejects), 3
-property failure, 4 solver failure (not run, unsat/unknown/timeout, or an
-unreadable output or model), 5 trace mismatch in differential mode; and
-into the ``sweep`` status column (``ok``, ``property:*``, ``solver:*``,
-``error:*``).  ``sweep`` writes its CSV in full either way, then exits 4 if
-any cell is ``solver:*`` or ``error:*``, else 3 if any cell is
-``property:*``; skipped infeasible (config, budget) pairs do not count.
+validation failure (an input file that is missing or invalid, or a pinned
+scenario the simulator rejects), 3 property failure, 4 solver failure (not
+run, unsat/unknown/timeout, or an unreadable output or model), 5 trace
+mismatch in differential mode; and into the ``sweep`` status column
+(``ok``, ``property:*``, ``solver:*``, ``error:*``).  ``sweep`` writes its
+CSV in full either way, then exits 4 if any cell is ``solver:*`` or
+``error:*``, else 3 if any cell is ``property:*``; skipped infeasible
+(config, budget) pairs do not count, and a missing config file exits 2
+before any cell runs.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from typing import Optional, Sequence
 from .encoder import encode, emit_smtlib
 from .model import ConfigError, NetworkConfig
 from .oracle import AllocationTrace, SimulationError, diff_traces, simulate
-from .presets import default_scenario_spec
+from .presets import config_scenario_spec
 from .properties import (
     MetricsBundle, PropertyReport, baseline_overprovision, check_all,
     compute_metrics,
@@ -89,18 +91,24 @@ def _load_scenario(manifest: RunManifest, config: NetworkConfig) -> ScenarioTrac
         return scenario
     if manifest.seed is None:
         raise ConfigError("either --scenario or --seed is required")
-    spec = _scenario_spec(manifest, config)
+    if manifest.scenario_spec_path:
+        spec = ScenarioSpec.from_json(
+            Path(manifest.scenario_spec_path).read_text())
+    else:
+        spec = config_scenario_spec(manifest.config_path, config)
     return spec.generate(config, manifest.seed)
 
 
-def _scenario_spec(manifest: RunManifest, config: NetworkConfig) -> ScenarioSpec:
-    if manifest.scenario_spec_path:
-        return ScenarioSpec.from_json(
-            Path(manifest.scenario_spec_path).read_text())
-    sibling = Path(manifest.config_path).with_suffix(".scenario.json")
-    if sibling.exists():
-        return ScenarioSpec.from_json(sibling.read_text())
-    return default_scenario_spec(config)
+def _load_inputs(manifest: RunManifest):
+    """The validated config and the scenario of ``manifest``, or None after
+    printing why not: a file that cannot be read is a validation failure,
+    the same as an invalid document."""
+    try:
+        config = _load_config(manifest)
+        return config, _load_scenario(manifest, config)
+    except (ConfigError, ValueError, OSError) as exc:
+        print(f"validation error: {exc}", file=sys.stderr)
+        return None
 
 
 @dataclass
@@ -199,12 +207,10 @@ def _exit_code(outcome: RunOutcome) -> int:
 
 def cmd_run(manifest: RunManifest) -> int:
     out_dir = Path(manifest.out_dir)
-    try:
-        config = _load_config(manifest)
-        scenario = _load_scenario(manifest, config)
-    except (ConfigError, ValueError) as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
+    inputs = _load_inputs(manifest)
+    if inputs is None:
         return EXIT_VALIDATION
+    config, scenario = inputs
     outcome = run_pipeline(config, scenario, manifest.mode,
                            manifest.solver_cmd, manifest.timeout)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -268,6 +274,9 @@ def cmd_sweep(config_paths: Sequence[str], prb_values: Sequence[int],
                                    total_prbs=prbs, horizon=horizon)
             try:
                 _load_config(manifest)
+            except OSError as exc:
+                print(f"validation error: {exc}", file=sys.stderr)
+                return EXIT_VALIDATION
             except (ConfigError, ValueError) as exc:
                 skipped_notes.append(
                     f"skipping {Path(path).stem} at {prbs} PRBs: {exc}")
@@ -299,12 +308,10 @@ def cmd_sweep(config_paths: Sequence[str], prb_values: Sequence[int],
 
 def cmd_compare(manifest: RunManifest,
                 baseline_fraction: Optional[float], out_path: str) -> int:
-    try:
-        config = _load_config(manifest)
-        scenario = _load_scenario(manifest, config)
-    except (ConfigError, ValueError) as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
+    inputs = _load_inputs(manifest)
+    if inputs is None:
         return EXIT_VALIDATION
+    config, scenario = inputs
     outcome = run_pipeline(config, scenario, "oracle", None, manifest.timeout)
     if outcome.status != "ok":
         return _exit_code(outcome)
@@ -442,16 +449,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return cmd_compare(_manifest(args, scenario_path=args.scenario),
                            args.baseline_fraction, args.out)
     if args.command == "gen-scenario":
-        manifest = _manifest(args)
-        try:
-            config = _load_config(manifest)
-            if manifest.seed is None:
-                raise ConfigError("--seed is required")
-            scenario = _scenario_spec(manifest, config).generate(
-                config, manifest.seed)
-        except (ConfigError, ValueError) as exc:
-            print(f"validation error: {exc}", file=sys.stderr)
+        if args.seed is None:
+            print("validation error: --seed is required", file=sys.stderr)
             return EXIT_VALIDATION
+        inputs = _load_inputs(_manifest(args))
+        if inputs is None:
+            return EXIT_VALIDATION
+        _, scenario = inputs
         out = Path(args.out)
         out.parent.mkdir(parents=True, exist_ok=True)
         out.write_text(scenario.to_json())

@@ -95,18 +95,6 @@ def nominal_throughput(params: ThroughputParams, prb_usage: int) -> float:
     return per_prb * prb_usage
 
 
-# Mbps offered per PRB of usage at the default operating point.  Derived from
-# the full formula so the two throughput paths cannot drift apart.
-THROUGHPUT_MBPS_PER_PRB = nominal_throughput(ThroughputParams(), 1)
-
-
-def throughput(prb_usage: int) -> float:
-    """Throughput in Mbps for a usage of ``prb_usage`` PRBs (default params)."""
-    if prb_usage < 0:
-        raise ValueError("PRB usage must be non-negative")
-    return THROUGHPUT_MBPS_PER_PRB * prb_usage
-
-
 @dataclass(frozen=True)
 class ServiceSpec:
     """One service type: identity, priority, and multi-partition provision."""

@@ -21,9 +21,10 @@ from typing import Optional
 
 from .model import ConfigError, NetworkConfig, ThroughputParams, nominal_throughput
 from .oracle import (
-    AllocationTrace, SliceState, SystemState, assign_users, check_timesteps,
-    conservation, partition_consistency, signal_exclusion, slice_accounting,
-    step_user_count, step_window_entries,
+    AllocationTrace, SimulationError, SliceState, SystemState, assign_users,
+    check_timesteps, conservation, partition_consistency, signal_exclusion,
+    slice_accounting, step_usage_residual, step_user_count,
+    step_window_entries,
 )
 
 # The ten trace invariants of the forward semantics, in reporting order.
@@ -249,15 +250,12 @@ class MetricsBundle:
         return out.getvalue()
 
 
-def compute_metrics(
-    trace: AllocationTrace,
-    config: NetworkConfig,
-    params: ThroughputParams = ThroughputParams(),
-) -> MetricsBundle:
+def compute_metrics(trace: AllocationTrace,
+                    config: NetworkConfig) -> MetricsBundle:
     states = trace.states
     caps = [sl.usage_cap for sl in config.slices]
     premium = set(config.premium_slice_ids)
-    per_prb = nominal_throughput(params, 1)
+    per_prb = nominal_throughput(ThroughputParams(), 1)
 
     tops = {i: 0 for i in range(1, config.num_slices + 1)}
     ramps = {i: 0 for i in range(1, config.num_slices + 1)}
@@ -367,15 +365,17 @@ def baseline_overprovision(
         lv = [bool(row[j - 1]) and usr[idx] >= 1
               for idx, row in enumerate(scenario.departures)]
         for idx in range(n):
-            if en[idx] and not lv[idx]:
-                would_use = -(-(usr[idx] + 1) // ms[idx])
-                if would_use > shares[idx]:
-                    en[idx] = False      # slice is full, entry dropped
-        usr = [step_user_count(usr[idx], en[idx], lv[idx])
-               for idx in range(n)]
+            usr_now = step_user_count(usr[idx], en[idx], lv[idx])
+            try:
+                usg[idx], _ = step_usage_residual(
+                    usg[idx], shares[idx] - usg[idx], usr_now, en[idx],
+                    lv[idx], ms[idx])
+            except SimulationError:      # slice is full, entry dropped
+                en[idx] = False
+                continue
+            usr[idx] = usr_now
         entries = [step_window_entries(entries[idx], en[idx], j, wins[idx])
                    for idx in range(n)]
-        usg = [-(-usr[idx] // ms[idx]) for idx in range(n)]
         states.append(make_state(j, usr, usg, entries, en, lv))
     return AllocationTrace(config=config, scenario=scenario,
                            states=tuple(states))

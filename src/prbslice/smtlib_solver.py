@@ -162,6 +162,8 @@ def simplify(t, env):
             return False
         return out[0] if len(out) == 1 else ["or"] + out
     if op == "not":
+        if len(args) != 1:
+            raise SmtError(f"not takes 1 argument, got {len(args)}")
         a = args[0]
         if type(a) is bool:
             return not a
@@ -244,15 +246,15 @@ def simplify(t, env):
         if const == 1 and len(rest) == 1:
             return rest[0]
         return ["*"] + rest + ([const] if const != 1 else [])
-    if op == "div":
+    if op == "div" or op == "mod":
+        if len(args) != 2:
+            raise SmtError(f"{op} takes 2 arguments, got {len(args)}")
         if _all_vals(args):
-            return _ediv(args[0], args[1])
-        return ["div"] + args
-    if op == "mod":
-        if _all_vals(args):
-            return _emod(args[0], args[1])
-        return ["mod"] + args
+            return (_ediv if op == "div" else _emod)(args[0], args[1])
+        return [op] + args
     if op == "abs":
+        if len(args) != 1:
+            raise SmtError(f"abs takes 1 argument, got {len(args)}")
         return abs(args[0]) if _is_val(args[0]) else ["abs", args[0]]
     if op in _COMPARE:
         if len(args) < 2:

@@ -16,7 +16,7 @@ from prbslice.cli import (
 )
 from prbslice.scenario import ScenarioTrace
 
-CONFIGS = Path(__file__).parent.parent / "configs"
+CONFIGS = Path(__file__).parent.parent / "src" / "prbslice" / "configs"
 C324 = str(CONFIGS / "config_3_2_4.json")
 C5413 = str(CONFIGS / "config_5_4_13.json")
 
@@ -183,6 +183,31 @@ class TestOptions:
         assert f"unrecognized arguments: {option} {value}" in \
             capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+class TestMissingInput:
+    @pytest.mark.parametrize("command, option", [
+        ("run", "--config"),
+        ("run", "--scenario"),
+        ("compare", "--config"),
+        ("gen-scenario", "--scenario-spec"),
+        ("sweep", "--config"),
+    ])
+    def test_missing_file_is_a_validation_error(self, tmp_path, capsys,
+                                                command, option):
+        out = tmp_path / "out"
+        opts = {"--config": C324, "--out": str(out)}
+        if command == "sweep":
+            opts.update({"--total-prbs": "200", "--seeds": "1"})
+        else:
+            opts["--seed"] = "1"
+        opts[option] = str(tmp_path / "missing.json")
+        argv = [command] + [word for pair in opts.items() for word in pair]
+        assert main(argv) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: ")
+        assert "missing.json" in err
+        assert not out.exists()
 
 
 class TestSweep:

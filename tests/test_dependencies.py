@@ -1,9 +1,13 @@
 """The package needs only the standard library and numpy, and the bundled
-solver only the standard library, so that it can run as a bare file."""
+solver only the standard library, so that it can run as a bare file.  The
+bundled configs ship inside the package and load from any directory."""
 
 import ast
+import os
 import re
+import subprocess
 import sys
+from fnmatch import fnmatch
 from pathlib import Path
 
 import pytest
@@ -46,3 +50,27 @@ def test_numpy_is_the_only_runtime_dependency():
     with open(ROOT / "pyproject.toml", "rb") as fh:
         deps = tomllib.load(fh)["project"]["dependencies"]
     assert [re.match(r"[\w.-]+", d).group() for d in deps] == ["numpy"]
+
+
+def test_bundled_configs_are_package_data():
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        setuptools = tomllib.load(fh)["tool"]["setuptools"]
+    patterns = setuptools["package-data"]["prbslice"]
+    files = [path.relative_to(PACKAGE).as_posix()
+             for path in sorted((PACKAGE / "configs").iterdir())]
+    assert files
+    assert [f for f in files
+            if not any(fnmatch(f, pattern) for pattern in patterns)] == []
+
+
+def test_presets_load_outside_the_repository(tmp_path):
+    code = ("from prbslice.presets import preset_config, preset_scenario_spec\n"
+            "config = preset_config('5-4-13')\n"
+            "spec = preset_scenario_spec('5-4-13')\n"
+            "print(config.num_slices, len(spec.per_service))")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=tmp_path, capture_output=True,
+        text=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["13", "5"]

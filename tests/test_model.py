@@ -14,7 +14,6 @@ from prbslice.model import (
     constraint_count_bound,
     max_window_usage,
     nominal_throughput,
-    throughput,
 )
 from prbslice.presets import PRESET_NAMES, preset_config
 
@@ -46,24 +45,30 @@ class TestMaxWindowUsage:
 
 
 class TestThroughput:
+    """Offered Mbps at the default operating point, which metrics report."""
+
     def test_unit_coefficient(self):
-        assert throughput(1) == pytest.approx(4163.798, abs=1e-3)
+        assert nominal_throughput(ThroughputParams(), 1) == pytest.approx(
+            4163.798, abs=1e-3)
 
     def test_zero(self):
-        assert throughput(0) == 0
+        assert nominal_throughput(ThroughputParams(), 0) == 0
 
     def test_fourteen_prbs(self):
-        assert throughput(14) == pytest.approx(58293.172, abs=0.02)
+        assert nominal_throughput(ThroughputParams(), 14) == pytest.approx(
+            58293.172, abs=0.02)
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
-            throughput(-1)
+            nominal_throughput(ThroughputParams(), -1)
 
     @given(st.integers(min_value=0, max_value=10 ** 6),
            st.integers(min_value=0, max_value=10 ** 6))
     def test_linearity(self, a, b):
-        assert throughput(a + b) == pytest.approx(
-            throughput(a) + throughput(b), rel=1e-12)
+        params = ThroughputParams()
+        assert nominal_throughput(params, a + b) == pytest.approx(
+            nominal_throughput(params, a) + nominal_throughput(params, b),
+            rel=1e-12)
 
 
 class TestNominalThroughput:
@@ -78,11 +83,6 @@ class TestNominalThroughput:
         params = ThroughputParams(derate=1.0)
         assert nominal_throughput(params, 1) == pytest.approx(
             5204.7475, abs=1e-3)
-
-    def test_agrees_with_derived_constant(self):
-        params = ThroughputParams()
-        for j in range(0, 1001, 7):
-            assert abs(nominal_throughput(params, j) - throughput(j)) < 1e-3
 
     def test_rejects_bad_overhead(self):
         with pytest.raises(ValueError):

@@ -1,27 +1,12 @@
-from pathlib import Path
-
 import pytest
 
-from prbslice.model import NetworkConfig
 from prbslice.presets import (
     PRESET_NAMES,
+    config_scenario_spec,
     default_scenario_spec,
     preset_config,
     preset_scenario_spec,
 )
-from prbslice.scenario import ScenarioSpec
-
-CONFIGS = Path(__file__).parent.parent / "configs"
-
-
-@pytest.mark.parametrize("name", PRESET_NAMES)
-def test_bundled_json_matches_presets(name):
-    stem = "config_" + name.replace("-", "_")
-    on_disk = NetworkConfig.from_json((CONFIGS / f"{stem}.json").read_text())
-    assert on_disk == preset_config(name)
-    spec = ScenarioSpec.from_json(
-        (CONFIGS / f"{stem}.scenario.json").read_text())
-    assert spec == preset_scenario_spec(name)
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
@@ -49,6 +34,16 @@ def test_default_spec_covers_all_services():
     config = preset_config("5-3-10")
     spec = default_scenario_spec(config)
     assert set(spec.per_service) == {s.service_id for s in config.services}
+
+
+def test_sibling_spec_else_default(tmp_path):
+    config = preset_config("3-2-4")
+    path = tmp_path / "net.json"
+    path.write_text(config.to_json())
+    assert config_scenario_spec(path, config) == default_scenario_spec(config)
+    calibrated = preset_scenario_spec("3-2-4")
+    (tmp_path / "net.scenario.json").write_text(calibrated.to_json())
+    assert config_scenario_spec(path, config) == calibrated
 
 
 def test_calibration_keeps_residual_un_overused():

@@ -479,6 +479,10 @@ class TestMainEntry:
     @pytest.mark.parametrize("script, message", [
         ("(assert (< 1))(check-sat)", "< takes at least 2 arguments, got 1"),
         ("(assert (ite true 1))(check-sat)", "ite takes 3 arguments, got 2"),
+        ("(assert (not))(check-sat)", "not takes 1 argument, got 0"),
+        ("(assert (= (abs) 1))(check-sat)", "abs takes 1 argument, got 0"),
+        ("(assert (= (mod 1) 1))(check-sat)", "mod takes 2 arguments, got 1"),
+        ("(assert (= (div 4) 1))(check-sat)", "div takes 2 arguments, got 1"),
     ])
     def test_wrong_arity_reports_error(self, script, message):
         proc = subprocess.run(default_solver_command(), input=script,
