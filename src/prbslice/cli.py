@@ -70,8 +70,12 @@ class RunManifest:
     horizon: Optional[int] = None
 
 
-def _load_config(manifest: RunManifest) -> NetworkConfig:
-    cfg = NetworkConfig.from_json(Path(manifest.config_path).read_text())
+def _load_config(manifest: RunManifest,
+                 cfg: Optional[NetworkConfig] = None) -> NetworkConfig:
+    """The config of ``manifest`` (``cfg`` if the caller has parsed it)
+    with the manifest's budget and horizon, validated."""
+    if cfg is None:
+        cfg = NetworkConfig.from_json(Path(manifest.config_path).read_text())
     changes = {}
     if manifest.total_prbs is not None:
         changes["total_prbs"] = manifest.total_prbs
@@ -267,16 +271,19 @@ def cmd_sweep(config_paths: Sequence[str], prb_values: Sequence[int],
     cells = []
     skipped_notes = []
     for path in config_paths:
+        # a config that cannot be read or parsed fails the sweep before any
+        # cell runs; an infeasible (config, total_prbs) pair is a note
+        try:
+            parsed = NetworkConfig.from_json(Path(path).read_text())
+        except (ConfigError, ValueError, OSError) as exc:
+            print(f"validation error: {exc}", file=sys.stderr)
+            return EXIT_VALIDATION
         for prbs in prb_values:
-            # infeasible (config, total_prbs) pairs produce a note, not rows
             manifest = RunManifest(config_path=path, mode=mode,
                                    solver_cmd=solver_cmd, timeout=timeout,
                                    total_prbs=prbs, horizon=horizon)
             try:
-                _load_config(manifest)
-            except OSError as exc:
-                print(f"validation error: {exc}", file=sys.stderr)
-                return EXIT_VALIDATION
+                _load_config(manifest, parsed)
             except (ConfigError, ValueError) as exc:
                 skipped_notes.append(
                     f"skipping {Path(path).stem} at {prbs} PRBs: {exc}")

@@ -4,34 +4,31 @@ arithmetic with booleans.
 This is the fallback backend used when no system SMT solver is installed: it
 reads a script on stdin (or from a file argument), answers ``sat`` /
 ``unsat`` / ``unknown`` to ``(check-sat)``, and prints a model of
-``(define-fun name () Sort value)`` entries for ``(get-model)``.
+``(define-fun name () Sort value)`` entries for ``(get-model)``.  It knows
+nothing about the rest of this package; it only interprets the script text.
 
-The engine is constraint propagation (partial evaluation of assertions under
-the current assignment, extracting forced units) plus depth-first splitting
-on boolean variables when propagation stalls.  Underdetermined integer
-systems are answered ``unknown`` rather than guessed.  It knows nothing about
-the rest of this package; it only interprets the script text.
-
-Propagation keeps one assignment and works in time linear in the script:
-each term keeps its residual (the term simplified so far), and the first
-time a term stalls it joins the watch list of every variable left in it, so
-an assignment re-simplifies only the terms that watch that variable.  Every
-change is logged on a trail.  The assertions are ids 0..n-1 in script order
-and are queued in that order; a conjunct split off an ``and`` gets the next
-free id and is queued at the front, in order, so it is simplified before
-any term queued earlier and its units are set before a later term reads
-them.  A split assigns one Bool (true before false): the first unassigned
-one, in name order, of the lowest-id open term that has one.  It propagates
-from that decision alone, and a failed branch is undone from the trail.
-The verdict is ``sat`` for the first leaf where every term holds, else
-``unknown`` if any leaf was undecided, else ``unsat``.  A ``sat`` leaf must
-pass a guard: every original assertion is evaluated again on the complete
-model by ``evaluate``, which decides ground terms without building
-residuals, and any that is not true turns the answer into ``unknown``.  A
-unit that gives a declared symbol a value of the other sort is an error.
-``(get-info :all-statistics)`` reports, for the last ``check-sat``,
-``:propagations`` (terms simplified), ``:splits`` (split variables chosen)
-and ``:conflicts`` (branches closed by a conflict).
+The engine is constraint propagation on one assignment plus depth-first
+splitting on boolean variables when propagation stalls; underdetermined
+integer systems are answered ``unknown`` rather than guessed.  A term is
+decided on its first visit: ``decide`` evaluates it, building nothing, to a
+value (true is done, false a conflict), the unit it forces, or the
+conjuncts of an ``and``.  Only a term that stalls gets a residual
+(``simplify``: the term simplified so far) and joins the watch list of
+every variable left in it, so an assignment revisits only its watchers.
+Every change is logged on a trail.  The assertions are ids 0..n-1 in
+script order and queued in that order; a conjunct gets the next free id
+and is queued at the front, in order, so its units are set before a later
+term reads them.  A split assigns one Bool (true before false): the first
+unassigned one, in name order, of the lowest-id open term that has one.
+It propagates from that decision alone; a failed branch is undone from the
+trail.  The verdict is ``sat`` for the first leaf where every term holds,
+else ``unknown`` if any leaf was undecided, else ``unsat``.  A ``sat`` leaf
+must pass a guard: ``holds`` evaluates every assertion again on the
+complete model, and any that is not true turns the answer into
+``unknown``.  A unit that gives a declared symbol a value of the other
+sort is an error.  ``(get-info :all-statistics)`` reports, for the last
+``check-sat``, ``:propagations`` (term visits), ``:splits`` (split
+variables chosen) and ``:conflicts`` (branches closed by a conflict).
 
 Supported commands: set-logic, set-info, set-option, declare-const,
 declare-fun (zero arity), assert, check-sat, get-model, get-info, echo,
@@ -42,10 +39,12 @@ distinct + - * div mod abs < <= > >=; a comparison may chain, as in
 
 from __future__ import annotations
 
+import gc
 import operator
 import re
 import sys
 from collections import deque
+from functools import reduce
 
 _COMMENT = re.compile(r";[^\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]*")
 _INT = re.compile(r"-?\d+\Z")
@@ -109,29 +108,38 @@ def _is_val(x) -> bool:
 
 
 def _ediv(a: int, b: int) -> int:
-    # SMT-LIB Int division is Euclidean: remainder is always non-negative.
-    if b == 0:
-        raise SmtError("division by zero")
-    r = a - _emod(a, b)
-    return r // b
+    # SMT-LIB Int division is Euclidean: the remainder is never negative
+    return (a - _emod(a, b)) // b
 
 
 def _emod(a: int, b: int) -> int:
     if b == 0:
         raise SmtError("division by zero")
-    m = a % abs(b)
-    return m
+    return a % abs(b)
 
 
-def _all_vals(args) -> bool:
-    for a in args:
-        if type(a) is not int and type(a) is not bool:
-            return False
-    return True
+# operator -> its value on a list of value arguments, None for a residual
+_FOLD = {
+    "=": lambda a: all(x == a[0] and type(x) is type(a[0]) for x in a[1:]),
+    "distinct": lambda a: len(set(a)) == len(a),
+    "xor": lambda a: (reduce(operator.xor, a, False)
+                      if all(type(x) is bool for x in a) else None),
+    "-": lambda a: -a[0] if len(a) == 1 else reduce(operator.sub, a),
+    "div": lambda a: _ediv(*a), "mod": lambda a: _emod(*a),
+    "abs": lambda a: abs(a[0]),
+    # a comparison chain holds when each adjacent pair does
+    **{op: (lambda a, cmp=cmp: all(map(cmp, a, a[1:])))
+       for op, cmp in _COMPARE.items()},
+}
+# operator -> (fewest, most) arguments, most None when unbounded
+_ARITY = {"not": (1, 1), "abs": (1, 1), "div": (2, 2), "mod": (2, 2),
+          "ite": (3, 3), "=>": (1, None), "-": (1, None),
+          **dict.fromkeys(_COMPARE, (2, None))}
 
 
 def simplify(t, env):
-    """Partial evaluation of a term under a partial assignment."""
+    """Partial evaluation of a term under a partial assignment: its value,
+    or the residual term."""
     if type(t) is str:
         return env.get(t, t)
     if type(t) is not list:
@@ -140,173 +148,176 @@ def simplify(t, env):
     args = [env.get(x, x) if type(x) is str
             else simplify(x, env) if type(x) is list else x
             for x in t[1:]]
-
-    if op == "and":
-        out = []
-        for a in args:
-            if a is False:
-                return False
-            if a is not True:
-                out.append(a)
-        if not out:
-            return True
-        return out[0] if len(out) == 1 else ["and"] + out
-    if op == "or":
-        out = []
-        for a in args:
-            if a is True:
-                return True
-            if a is not False:
-                out.append(a)
-        if not out:
-            return False
-        return out[0] if len(out) == 1 else ["or"] + out
+    n = len(args)
+    fewest, most = _ARITY.get(op, (0, n))
+    if not fewest <= n <= (most or n):
+        raise SmtError(f"{op} takes {'' if most else 'at least '}{fewest} "
+                       f"argument{'s' * (fewest > 1)}, got {n}")
+    if op == "and" or op == "or":
+        stop = op == "or"       # the argument value that decides it
+        if any(a is stop for a in args):
+            return stop
+        out = [a for a in args if a is not (not stop)]
+        return [op] + out if len(out) > 1 else out[0] if out else not stop
     if op == "not":
-        if len(args) != 1:
-            raise SmtError(f"not takes 1 argument, got {len(args)}")
         a = args[0]
         if type(a) is bool:
             return not a
-        if type(a) is list and a[0] == "not":
-            return a[1]
-        return ["not", a]
+        return a[1] if type(a) is list and a[0] == "not" else ["not", a]
     if op == "=>":
         result = args[-1]
         for a in reversed(args[:-1]):
             if a is True:
                 continue
-            if a is False:
-                return True
-            if result is True:
+            if a is False or result is True:
                 return True
             if result is False:
                 result = simplify(["not", a], env)
             else:
                 result = ["=>", a, result]
         return result
-    if op == "=":
-        if _all_vals(args):
-            return all(a == args[0] and type(a) is type(args[0])
-                       for a in args[1:])
-        return ["="] + args
-    if op == "distinct":
-        if _all_vals(args):
-            return len(set(args)) == len(args)
-        return ["distinct"] + args
     if op == "ite":
-        if len(args) != 3:
-            raise SmtError(f"ite takes 3 arguments, got {len(args)}")
-        c, a, b = args
-        if c is True:
-            return a
-        if c is False:
-            return b
-        return ["ite", c, a, b]
-    if op == "xor":
-        if all(type(a) is bool for a in args):
-            acc = False
-            for a in args:
-                acc ^= a
-            return acc
-        return ["xor"] + args
-    if op == "+":
-        const = 0
+        c = args[0]
+        return args[1] if c is True else args[2] if c is False else [op] + args
+    if op == "+" or op == "*":
+        unit = const = 0 if op == "+" else 1
         rest = []
         for a in args:
             if _is_val(a):
-                const += a
+                const = const + a if op == "+" else const * a
             else:
                 rest.append(a)
-        if not rest:
-            return const
-        if const == 0:
-            return rest[0] if len(rest) == 1 else ["+"] + rest
-        return ["+"] + rest + [const]
-    if op == "-":
-        if len(args) == 1:
-            return -args[0] if _is_val(args[0]) else ["-", args[0]]
-        if _all_vals(args):
-            acc = args[0]
-            for a in args[1:]:
-                acc -= a
-            return acc
-        return ["-"] + args
-    if op == "*":
-        const = 1
-        rest = []
-        for a in args:
-            if _is_val(a):
-                const *= a
-            else:
-                rest.append(a)
-        if const == 0:
+        if op == "*" and const == 0:
             return 0
         if not rest:
             return const
-        if const == 1 and len(rest) == 1:
-            return rest[0]
-        return ["*"] + rest + ([const] if const != 1 else [])
-    if op == "div" or op == "mod":
-        if len(args) != 2:
-            raise SmtError(f"{op} takes 2 arguments, got {len(args)}")
-        if _all_vals(args):
-            return (_ediv if op == "div" else _emod)(args[0], args[1])
-        return [op] + args
-    if op == "abs":
-        if len(args) != 1:
-            raise SmtError(f"abs takes 1 argument, got {len(args)}")
-        return abs(args[0]) if _is_val(args[0]) else ["abs", args[0]]
-    if op in _COMPARE:
-        if len(args) < 2:
-            raise SmtError(f"{op} takes at least 2 arguments, got {len(args)}")
-        if _all_vals(args):
-            # a chain holds when each adjacent pair does
-            cmp = _COMPARE[op]
-            if len(args) == 2:
-                return cmp(args[0], args[1])
-            return all(map(cmp, args, args[1:]))
-        return [op] + args
-    raise SmtError(f"unsupported operator {op!r}")
+        if const == unit:
+            return rest[0] if len(rest) == 1 else [op] + rest
+        return [op] + rest + [const]
+    fold = _FOLD.get(op)
+    if fold is None:
+        raise SmtError(f"unsupported operator {op!r}")
+    v = fold(args) if all(map(_is_val, args)) else None
+    return [op] + args if v is None else v
 
 
-def evaluate(t, env):
-    """The value ``simplify`` gives a term under a complete assignment,
-    computed without building residuals; the model guard calls it.
+class _Unsure(Exception):
+    """Here ``simplify`` builds ``(not k)`` over an Int k, which an
+    enclosing ``not`` unwraps to the value k."""
 
-    ``and``, ``=>``, ``not`` and a binary ``=`` are evaluated here, and
-    ``and`` and ``=>`` stop at the first argument that decides them.  Every
-    other operator, and every n-ary ``=``, goes to ``simplify`` with its
-    arguments evaluated, and an ``and``, ``=>`` or ``not`` with an argument
-    of the wrong sort goes to ``simplify`` whole, so the semantics live in
-    one place.  The one difference: ``simplify`` evaluates every argument,
-    so a zero divisor in one that cannot change the value (a consequent
-    under a false guard) raises there and not here."""
+
+_BINARY = {"+": operator.add, "-": operator.sub, "div": _ediv, "mod": _emod,
+           **_COMPARE}
+
+
+def _value(t, env):
+    """The value ``simplify`` gives ``t`` under ``env``, or None for a
+    residual.  ``=``, ``not``, ``and``, ``=>`` and binary arithmetic and
+    comparisons build nothing and skip an argument that cannot change the
+    value (so a zero divisor under a false guard is no error); every other
+    form goes to ``simplify``."""
     if type(t) is str:
-        return env.get(t, t)
+        return env.get(t)
     if type(t) is not list:
         return t
     op = t[0]
+    n = len(t)
+    if op == "=" and n == 3:
+        a = _value(t[1], env)
+        b = None if a is None else _value(t[2], env)
+        return None if b is None else a == b and type(a) is type(b)
+    if op == "not" and n == 2:
+        v = _value(t[1], env)
+        if type(v) is int:
+            raise _Unsure
+        return v if v is None else not v
     if op == "and":
+        count, last = 0, None   # the arguments that are not True
         for a in t[1:]:
-            v = evaluate(a, env)
+            v = _value(a, env)
+            if v is False:
+                return False
             if v is not True:
-                return False if v is False else simplify(t, env)
-        return True
-    if op == "=>":
-        for a in t[1:-1]:
-            v = evaluate(a, env)
+                count += 1
+                last = v
+        # a lone one is the residual, which may be an Int
+        return True if count == 0 else last if count == 1 else None
+    if op == "=>" and n > 1:
+        last = True             # the last guard that is not True
+        for i in range(1, n - 1):
+            v = _value(t[i], env)
+            if v is False:
+                return True
             if v is not True:
-                return True if v is False else simplify(t, env)
-        return evaluate(t[-1], env)
-    if op == "not":
-        v = evaluate(t[1], env)
-        return (not v) if type(v) is bool else simplify(t, env)
-    args = [evaluate(a, env) for a in t[1:]]
-    if op == "=" and len(args) == 2:
-        a, b = args
-        if _is_val(a) and _is_val(b):
-            return a == b and type(a) is type(b)
-    return simplify([op] + args, env)
+                last = v
+        v = _value(t[-1], env)
+        if v is True or last is True:
+            return v
+        if v is False and last is not None:
+            raise _Unsure       # the contrapositive of an Int guard
+        return None
+    if n == 3 and op in _BINARY:
+        a = _value(t[1], env)
+        b = None if a is None else _value(t[2], env)
+        return None if b is None else _BINARY[op](a, b)
+    v = simplify(t, env)
+    if type(v) is list and v[0] == "not":
+        raise _Unsure
+    return v if _is_val(v) else None
+
+
+def decide(t, env):
+    """What propagation makes of term ``t`` under ``env``, built from
+    ``_value`` without residuals: a value (True, False, or an ill-sorted
+    Int); the unit it forces, a ``(variable, value)`` tuple, from a bare
+    symbol, ``(not x)``, ``(= x v)``, or an ``and`` or ``=>`` that reduces
+    to one; the ``and`` arguments that are not True, as a list in order;
+    or None, open, when only ``_shape(simplify(t, env))`` can tell.  Where
+    it decides it equals that, conjuncts taken by their residuals, but for
+    the arguments ``_value`` skips."""
+    try:
+        if type(t) is str:
+            v = env.get(t)
+            return (t, True) if v is None else v
+        op = t[0] if type(t) is list else None
+        if op == "and":
+            kept = []
+            for a in t[1:]:
+                v = _value(a, env)
+                if v is False:
+                    return False
+                if v is not True:
+                    kept.append(a)
+            return decide(kept[0], env) if len(kept) == 1 else kept or True
+        if op == "=>" and len(t) > 1:
+            guards_hold = True
+            for i in range(1, len(t) - 1):
+                v = _value(t[i], env)
+                if v is False:
+                    return True
+                guards_hold = guards_hold and v is True
+            if guards_hold:
+                return decide(t[-1], env)
+            return True if _value(t[-1], env) is True else None
+        if op == "not" and len(t) == 2:
+            if type(t[1]) is str and t[1] not in env:
+                return t[1], False
+        elif op == "=" and len(t) == 3:
+            a, b = t[1], t[2]
+            if type(b) is str and b not in env:
+                a, b = b, a
+            if type(a) is str and a not in env:
+                v = _value(b, env)
+                return None if v is None else (a, v)
+        return _value(t, env)
+    except _Unsure:
+        return None
+
+
+def holds(t, env) -> bool:
+    """Whether ``t`` is true under ``env``: the model guard."""
+    r = decide(t, env)
+    return (simplify(t, env) if r is None else r) is True
 
 
 def _free_vars(t, acc: set) -> None:
@@ -317,34 +328,28 @@ def _free_vars(t, acc: set) -> None:
             _free_vars(a, acc)
 
 
-def _unit(t):
-    """The (variable, value) a residual forces by itself, else None."""
-    if isinstance(t, str):
-        return t, True
-    if type(t) is int:
-        raise SmtError(f"ill-sorted assertion: it evaluates to the Int {t}")
-    if t[0] == "not" and isinstance(t[1], str):
+def _shape(t):
+    """``decide``'s answer read off a residual."""
+    if type(t) is not list:
+        return (t, True) if type(t) is str else t
+    if t[0] == "not" and type(t[1]) is str:
         return t[1], False
     if t[0] == "=" and len(t) == 3:
-        a, b = t[1], t[2]
-        if isinstance(a, str) and _is_val(b):
-            return a, b
-        if isinstance(b, str) and _is_val(a):
-            return b, a
-    return None
+        for a, b in ((t[1], t[2]), (t[2], t[1])):
+            if type(a) is str and _is_val(b):
+                return a, b
+    return t[1:] if t[0] == "and" else None
 
 
 class Propagator:
     """Terms under one assignment, with a trail to undo it.
 
     Term ids: the assertions are 0..n-1 in script order, and each conjunct
-    split off an ``and`` residual gets the next free id and goes to the
-    front of the queue, in order.  ``residual[tid]`` is the term simplified
-    under ``env``, True once satisfied.  The first time a term stalls, the
-    free variables of its residual are computed and the term joins each
-    one's watch list; after that it is simplified again only when one of
-    them is assigned.  Every change (assignment, residual, new term, watch
-    registration) is logged on ``trail``, newest last."""
+    split off an ``and`` gets the next free id.  ``residual[tid]`` is the
+    term, True once it holds, or while it stalls its residual under
+    ``env``, whose free variables it watches from its first stall on.
+    Every change (assignment, residual, new term, watch registration) is
+    logged on ``trail``, newest last."""
 
     def __init__(self, assertions, sorts: dict):
         self.sorts = sorts          # declared symbol -> "Int" or "Bool"
@@ -403,7 +408,7 @@ class Propagator:
                 self.vars.pop()
 
     def propagate(self) -> str:
-        """Simplify queued terms until no assignment is forced.  Returns
+        """Visit queued terms until no assignment is forced.  Returns
         'ok', 'unsat' on a conflict, or 'unknown' when a stalled term has
         no unassigned variable left, i.e. a ground term the evaluator
         cannot decide (e.g. an ite on an Int condition)."""
@@ -416,29 +421,30 @@ class Propagator:
             if term is True:
                 continue
             self.stats[":propagations"] += 1
-            t = simplify(term, env)
-            if t is False:
+            r = decide(term, env)
+            if r is None:       # open: build the residual
+                t = simplify(term, env)
+                r = _shape(t)
+            if r is False:
                 status = "unsat"
                 break
             trail.append(("term", tid, term))
-            unit = None
-            if t is not True:
-                unit = _unit(t)
-                if unit is not None:
-                    t = True
-                elif t[0] == "and":
+            if r is not None:
+                residual[tid] = True
+                self.open -= 1
+                if type(r) is tuple:
+                    if not self.assign(*r):
+                        status = "unsat"
+                        break
+                elif type(r) is list:
                     # the conjuncts run next, in order, before any term
                     # queued earlier
-                    queue.extendleft(reversed([self._new(sub)
-                                               for sub in t[1:]]))
-                    t = True
-            residual[tid] = t
-            if t is True:
-                self.open -= 1
-                if unit is not None and not self.assign(*unit):
-                    status = "unsat"
-                    break
+                    queue.extendleft(reversed([self._new(sub) for sub in r]))
+                elif r is not True:
+                    raise SmtError("ill-sorted assertion: it evaluates to "
+                                   f"the Int {r}")
                 continue
+            residual[tid] = t
             vs = self.vars[tid]
             if vs is None:
                 found: set = set()
@@ -539,35 +545,26 @@ class Interpreter:
         prop = Propagator(self.assertions, self.sorts)
         outcome = search(prop)
         self.stats = prop.stats
-        if outcome[0] != "sat":
-            self.result = outcome[0]
-            self.model = None
-            print(self.result, file=self.out)
-            return
-        env = outcome[1]
-        for name in self.order:
-            env.setdefault(name, 0 if self.sorts[name] == "Int" else False)
-        # soundness guard: the model must satisfy every original assertion
-        for t in self.assertions:
-            if evaluate(t, env) is not True:
+        self.result, self.model = outcome[0], None
+        if self.result == "sat":
+            env = outcome[1]
+            for name in self.order:
+                env.setdefault(name, 0 if self.sorts[name] == "Int" else False)
+            # soundness guard: the model must satisfy every original assertion
+            if all(holds(t, env) for t in self.assertions):
+                self.model = env
+            else:
                 self.result = "unknown"
-                self.model = None
-                print(self.result, file=self.out)
-                return
-        self.result = "sat"
-        self.model = env
         print(self.result, file=self.out)
 
     def get_model(self) -> None:
         if self.model is None:
             print('(error "model is not available")', file=self.out)
             return
-        print("(", file=self.out)
-        for name in self.order:
-            sort = self.sorts[name]
-            print(f"  (define-fun {name} () {sort} "
-                  f"{_fmt_value(self.model[name])})", file=self.out)
-        print(")", file=self.out)
+        self.out.write("(\n" + "".join(
+            f"  (define-fun {name} () {self.sorts[name]} "
+            f"{_fmt_value(self.model[name])})\n" for name in self.order)
+            + ")\n")
 
     def get_info(self, key) -> None:
         if key != ":all-statistics":
@@ -606,6 +603,9 @@ class Interpreter:
 
 
 def main(argv=None) -> int:
+    # the parsed script holds no reference cycle, so the cyclic collector
+    # would only rescan it
+    gc.disable()
     argv = sys.argv[1:] if argv is None else list(argv)
     if argv:
         with open(argv[0], "r", encoding="utf-8") as fh:

@@ -211,6 +211,21 @@ class TestMissingInput:
 
 
 class TestSweep:
+    @pytest.mark.parametrize("text", ['{"bad": 1', '{"bad": 1}'])
+    def test_unparsable_config_is_a_validation_error(self, tmp_path, capsys,
+                                                     text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        out = tmp_path / "sweep.csv"
+        code = main(["sweep", "--config", C324, "--config", str(bad),
+                     "--total-prbs", "200", "--seeds", "1", "--mode",
+                     "oracle", "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: ")
+        assert "skipping" not in err
+        assert not out.exists()
+
     def test_matrix_row_count_skips_infeasible(self, tmp_path):
         out = tmp_path / "sweep.csv"
         code = main(["sweep", "--config", C324, "--config", C5413,

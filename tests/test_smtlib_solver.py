@@ -1,6 +1,8 @@
 import hashlib
 import io
 import itertools
+import operator
+import random
 import re
 import subprocess
 import sys
@@ -14,7 +16,11 @@ from prbslice.solver import default_solver_command
 from prbslice.smtlib_solver import (
     Interpreter,
     SmtError,
-    evaluate,
+    _shape,
+    _Unsure,
+    _value,
+    decide,
+    holds,
     parse,
     simplify,
     tokenize,
@@ -40,6 +46,205 @@ def line_tokenize(text: str) -> list:
         cut = line.find(";")
         lines.append(line if cut < 0 else line[:cut])
     return re.findall(r"[()]|[^()\s]+", "\n".join(lines))
+
+
+# The residual evaluator and unit reader that propagation ran on every
+# visit before terms were decided on the first one: ``decide``, ``_value``
+# and ``simplify`` must agree with them, as ``tokenize`` must with
+# ``line_tokenize``.
+
+_REF_COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
+                ">=": operator.ge}
+
+
+def _ref_is_val(x) -> bool:
+    return type(x) is bool or type(x) is int
+
+
+def _ref_ediv(a: int, b: int) -> int:
+    # SMT-LIB Int division is Euclidean: remainder is always non-negative.
+    if b == 0:
+        raise SmtError("division by zero")
+    r = a - _ref_emod(a, b)
+    return r // b
+
+
+def _ref_emod(a: int, b: int) -> int:
+    if b == 0:
+        raise SmtError("division by zero")
+    m = a % abs(b)
+    return m
+
+
+def _ref_all_vals(args) -> bool:
+    for a in args:
+        if type(a) is not int and type(a) is not bool:
+            return False
+    return True
+
+
+def reference_simplify(t, env):
+    """Partial evaluation of a term under a partial assignment."""
+    if type(t) is str:
+        return env.get(t, t)
+    if type(t) is not list:
+        return t
+    op = t[0]
+    args = [env.get(x, x) if type(x) is str
+            else reference_simplify(x, env) if type(x) is list else x
+            for x in t[1:]]
+
+    if op == "and":
+        out = []
+        for a in args:
+            if a is False:
+                return False
+            if a is not True:
+                out.append(a)
+        if not out:
+            return True
+        return out[0] if len(out) == 1 else ["and"] + out
+    if op == "or":
+        out = []
+        for a in args:
+            if a is True:
+                return True
+            if a is not False:
+                out.append(a)
+        if not out:
+            return False
+        return out[0] if len(out) == 1 else ["or"] + out
+    if op == "not":
+        if len(args) != 1:
+            raise SmtError(f"not takes 1 argument, got {len(args)}")
+        a = args[0]
+        if type(a) is bool:
+            return not a
+        if type(a) is list and a[0] == "not":
+            return a[1]
+        return ["not", a]
+    if op == "=>":
+        result = args[-1]
+        for a in reversed(args[:-1]):
+            if a is True:
+                continue
+            if a is False:
+                return True
+            if result is True:
+                return True
+            if result is False:
+                result = reference_simplify(["not", a], env)
+            else:
+                result = ["=>", a, result]
+        return result
+    if op == "=":
+        if _ref_all_vals(args):
+            return all(a == args[0] and type(a) is type(args[0])
+                       for a in args[1:])
+        return ["="] + args
+    if op == "distinct":
+        if _ref_all_vals(args):
+            return len(set(args)) == len(args)
+        return ["distinct"] + args
+    if op == "ite":
+        if len(args) != 3:
+            raise SmtError(f"ite takes 3 arguments, got {len(args)}")
+        c, a, b = args
+        if c is True:
+            return a
+        if c is False:
+            return b
+        return ["ite", c, a, b]
+    if op == "xor":
+        if all(type(a) is bool for a in args):
+            acc = False
+            for a in args:
+                acc ^= a
+            return acc
+        return ["xor"] + args
+    if op == "+":
+        const = 0
+        rest = []
+        for a in args:
+            if _ref_is_val(a):
+                const += a
+            else:
+                rest.append(a)
+        if not rest:
+            return const
+        if const == 0:
+            return rest[0] if len(rest) == 1 else ["+"] + rest
+        return ["+"] + rest + [const]
+    if op == "-":
+        if len(args) == 1:
+            return -args[0] if _ref_is_val(args[0]) else ["-", args[0]]
+        if _ref_all_vals(args):
+            acc = args[0]
+            for a in args[1:]:
+                acc -= a
+            return acc
+        return ["-"] + args
+    if op == "*":
+        const = 1
+        rest = []
+        for a in args:
+            if _ref_is_val(a):
+                const *= a
+            else:
+                rest.append(a)
+        if const == 0:
+            return 0
+        if not rest:
+            return const
+        if const == 1 and len(rest) == 1:
+            return rest[0]
+        return ["*"] + rest + ([const] if const != 1 else [])
+    if op == "div" or op == "mod":
+        if len(args) != 2:
+            raise SmtError(f"{op} takes 2 arguments, got {len(args)}")
+        if _ref_all_vals(args):
+            return (_ref_ediv if op == "div" else _ref_emod)(args[0], args[1])
+        return [op] + args
+    if op == "abs":
+        if len(args) != 1:
+            raise SmtError(f"abs takes 1 argument, got {len(args)}")
+        return abs(args[0]) if _ref_is_val(args[0]) else ["abs", args[0]]
+    if op in _REF_COMPARE:
+        if len(args) < 2:
+            raise SmtError(f"{op} takes at least 2 arguments, got {len(args)}")
+        if _ref_all_vals(args):
+            # a chain holds when each adjacent pair does
+            cmp = _REF_COMPARE[op]
+            if len(args) == 2:
+                return cmp(args[0], args[1])
+            return all(map(cmp, args, args[1:]))
+        return [op] + args
+    raise SmtError(f"unsupported operator {op!r}")
+
+
+def reference_unit(t):
+    """The (variable, value) a residual forces by itself, else None."""
+    if isinstance(t, str):
+        return t, True
+    if type(t) is int:
+        raise SmtError(f"ill-sorted assertion: it evaluates to the Int {t}")
+    if t[0] == "not" and isinstance(t[1], str):
+        return t[1], False
+    if t[0] == "=" and len(t) == 3:
+        a, b = t[1], t[2]
+        if isinstance(a, str) and _ref_is_val(b):
+            return a, b
+        if isinstance(b, str) and _ref_is_val(a):
+            return b, a
+    return None
+
+
+def reference_shape(t):
+    """What propagation made of a residual: a value, the unit, the
+    ``and`` arguments as a list, or None."""
+    if _ref_is_val(t):
+        return t
+    return list(t[1:]) if t[0] == "and" else reference_unit(t)
 
 
 class TestParsing:
@@ -134,7 +339,24 @@ ASSIGNMENTS = st.tuples(
     st.lists(st.booleans(), min_size=len(BOOLS), max_size=len(BOOLS)),
     st.lists(st.integers(-3, 3), min_size=len(INTS), max_size=len(INTS)),
 ).map(lambda p: dict(zip(BOOLS + INTS, p[0] + p[1])))
+# a complete assignment with some variables left out
+KEEP = st.lists(st.booleans(), min_size=len(BOOLS + INTS),
+                max_size=len(BOOLS + INTS))
+PARTIAL = st.tuples(ASSIGNMENTS, KEEP).map(
+    lambda p: {k: v for (k, v), keep in zip(p[0].items(), p[1]) if keep})
 P0_TRUE = dict.fromkeys(BOOLS, False) | {"p0": True, "n0": 2, "n1": 2}
+
+
+def assert_decided_as_reference(term, env):
+    """Where ``decide`` decides, it is the parent's residual read by
+    ``reference_shape``; each conjunct is compared by its residual."""
+    got = decide(term, env)
+    if got is None:
+        return
+    want = reference_shape(reference_simplify(term, env))
+    if type(got) is list:
+        got = [reference_simplify(sub, env) for sub in got]
+    assert repr(got) == repr(want)
 
 
 class TestEvaluate:
@@ -149,19 +371,74 @@ class TestEvaluate:
     @example(["=", "n0", "n1", 2], P0_TRUE)
     @example(["not", ["=>", "p0", "p0", "p1"]], P0_TRUE)
     def test_true_exactly_where_simplify_is_true(self, term, env):
-        assert (evaluate(term, env) is True) == (simplify(term, env) is True)
-        # the same value, residual forms of ill-sorted terms included
-        assert repr(evaluate(term, env)) == repr(simplify(term, env))
+        # the model guard under a complete assignment
+        assert holds(term, env) == (reference_simplify(term, env) is True)
+        assert_decided_as_reference(term, env)
+
+    @settings(max_examples=1000, deadline=None)
+    @given(ground_terms(), PARTIAL)
+    @example(["and", "p0", ["=>", "p1", ["=", "n0", ["+", "n1", 1]]]],
+             {"p1": True, "n1": 2})
+    @example(["and", ["=", ["not", ["not", 5]], 5], "p0"], {})
+    @example(["=>", ["not", 2], False], {})
+    @example(["or", ["not", 2], False], {})
+    @example(["and", "p0", ["or", "p1", True]], {})
+    @example(["=", "n0", ["*", 0, "n1"]], {})
+    def test_partial_assignment_decided_as_reference(self, term, env):
+        assert_decided_as_reference(term, env)
+
+    @settings(max_examples=500, deadline=None)
+    @given(ground_terms(), PARTIAL)
+    @example(["not", ["ite", True, ["not", 3], 1]], {})
+    def test_value_is_the_reference_value(self, term, env):
+        want = reference_simplify(term, env)
+        try:
+            got = _value(term, env)
+        except _Unsure:
+            return
+        assert repr(got) == repr(want if type(want) in (bool, int) else None)
+
+    @settings(max_examples=500, deadline=None)
+    @given(ground_terms(), PARTIAL)
+    def test_stall_residual_is_the_reference_residual(self, term, env):
+        residual = simplify(term, env)
+        assert repr(residual) == repr(reference_simplify(term, env))
+        got = _shape(residual)
+        assert repr(got) == repr(reference_shape(residual))
+
+    def test_units_and_conjuncts(self):
+        env = {"y": 4, "g": True}
+        assert decide(["=", "x", ["+", "y", 1]], env) == ("x", 5)
+        assert decide(["=", ["+", "y", 1], "x"], env) == ("x", 5)
+        assert decide("p", env) == ("p", True)
+        assert decide(["not", "p"], env) == ("p", False)
+        assert decide(["=>", "g", ["=", "x", 2]], env) == ("x", 2)
+        # a linear term is not solved for its variable
+        assert decide(["=", ["+", "x", 1], 5], env) is None
+        # the conjuncts that are not true, unchanged and in order
+        conj = ["and", ["=", "x", 1], ["=", "y", 4], "p"]
+        assert decide(conj, env) == [["=", "x", 1], "p"]
+        assert decide(["and", ["=", "y", 4], "p"], env) == ("p", True)
+        assert decide(["=>", "q", ["=", "x", 1]], env) is None
 
     def test_deciding_argument_ends_evaluation(self):
         # simplify evaluates every argument, so a zero divisor under a
-        # false guard raises there; evaluate stops at the guard
+        # false guard raises there; decide stops at the guard
         dead = ["=>", False, ["=", ["div", 1, 0], 1]]
         with pytest.raises(SmtError, match="division by zero"):
             simplify(dead, {})
-        assert evaluate(dead, {}) is True
+        assert decide(dead, {}) is True
         with pytest.raises(SmtError, match="division by zero"):
-            evaluate(["=>", True, ["=", ["div", 1, 0], 1]], {})
+            decide(["=>", True, ["=", ["div", 1, 0], 1]], {})
+
+    def test_dead_zero_divisor_is_no_error(self):
+        # the one change from evaluating every argument: this script was
+        # an (error "division by zero") before terms were decided on
+        # first visit
+        assert run_script("(assert (=> false (= (div 1 0) 1)))(check-sat)"
+                          ).strip() == "sat"
+        with pytest.raises(SmtError, match="division by zero"):
+            run_script("(assert (=> true (= (div 1 0) 1)))(check-sat)")
 
 
 class TestSolving:
@@ -444,6 +721,55 @@ class TestPinnedOutput:
             "96d96f37aee7235ea3ca7aaccdbc6b38ffcdfbcbdd270bfcff61ac3c287e103a")
 
 
+def split_script(seed: int) -> str:
+    """A seeded random Bool/Int script that opens with a clause of two
+    unforced literals, so the search must split."""
+    rng = random.Random(seed)
+
+    def lit():
+        v = rng.choice(BOOLS)
+        return v if rng.random() < 0.5 else f"(not {v})"
+
+    def num():
+        n = rng.choice(INTS)
+        return rng.choice((n, f"(+ {n} {rng.randint(-2, 2)})",
+                           str(rng.randint(0, 3))))
+
+    shapes = (
+        lambda: f"(or {lit()} {lit()} {lit()})",
+        lambda: f"(=> {lit()} (= {rng.choice(INTS)} {num()}))",
+        lambda: f"(= {rng.choice(INTS)} (ite {lit()} {rng.randint(0, 3)} "
+                f"{num()}))",
+        lambda: f"(=> (< {num()} {num()}) {lit()})",
+        lambda: f"(xor {lit()} {lit()})",
+        lambda: f"(and (or {lit()} {lit()}) (=> {lit()} {lit()}))",
+    )
+    text = "".join(f"(declare-const {v} Bool)" for v in BOOLS)
+    text += "".join(f"(declare-const {v} Int)" for v in INTS)
+    text += f"(assert (or {BOOLS[0]} {BOOLS[1]}))"
+    text += "".join(f"(assert {rng.choice(shapes)()})"
+                    for _ in range(rng.randint(3, 8)))
+    return text + "(check-sat)(get-model)(get-info :all-statistics)"
+
+
+class TestPinnedSplitOrder:
+    def test_split_scripts_stdout_hash_pinned(self):
+        # SHA-256 over verdict, model and statistics of 50 seeded scripts
+        # that all split; recorded before terms were decided on first
+        # visit, so any change to the split order or model choice moves it
+        digest = hashlib.sha256()
+        verdicts = set()
+        for seed in range(50):
+            out = run_script(split_script(seed))
+            stats = parse(tokenize(out))[-1]
+            assert stats[stats.index(":splits") + 1] >= 1, seed
+            verdicts.add(out.split("\n", 1)[0])
+            digest.update(out.encode())
+        assert verdicts == {"sat", "unsat", "unknown"}
+        assert digest.hexdigest() == (
+            "59a1b57be09232c759fc4fe75cab8fea892b91de3db806a619959519117d18bc")
+
+
 class TestMainEntry:
     def test_stdin(self):
         proc = subprocess.run(
@@ -483,6 +809,9 @@ class TestMainEntry:
         ("(assert (= (abs) 1))(check-sat)", "abs takes 1 argument, got 0"),
         ("(assert (= (mod 1) 1))(check-sat)", "mod takes 2 arguments, got 1"),
         ("(assert (= (div 4) 1))(check-sat)", "div takes 2 arguments, got 1"),
+        ("(assert (=>))(check-sat)", "=> takes at least 1 argument, got 0"),
+        ("(assert (= (-) 1))(check-sat)",
+         "- takes at least 1 argument, got 0"),
     ])
     def test_wrong_arity_reports_error(self, script, message):
         proc = subprocess.run(default_solver_command(), input=script,
