@@ -16,9 +16,9 @@ run, unsat/unknown/timeout, or an unreadable output or model), 5 trace
 mismatch in differential mode; and into the ``sweep`` status column
 (``ok``, ``property:*``, ``solver:*``, ``error:*``).  ``sweep`` writes its
 CSV in full either way, then exits 4 if any cell is ``solver:*`` or
-``error:*``, else 3 if any cell is ``property:*``; skipped infeasible
-(config, budget) pairs do not count, and a missing config file exits 2
-before any cell runs.
+``error:*``, else 3 if any cell is ``property:*``; skipped (config,
+budget) pairs over budget do not count, and a config file that is missing
+or breaks a structural rule exits 2 before any cell runs.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .encoder import encode, emit_smtlib
-from .model import ConfigError, NetworkConfig
+from .model import BudgetError, ConfigError, NetworkConfig
 from .oracle import AllocationTrace, SimulationError, diff_traces, simulate
 from .presets import config_scenario_spec
 from .properties import (
@@ -271,8 +271,9 @@ def cmd_sweep(config_paths: Sequence[str], prb_values: Sequence[int],
     cells = []
     skipped_notes = []
     for path in config_paths:
-        # a config that cannot be read or parsed fails the sweep before any
-        # cell runs; an infeasible (config, total_prbs) pair is a note
+        # a config that cannot be read, parsed or validated fails the sweep
+        # before any cell runs; a (config, total_prbs) pair over budget is
+        # a note
         try:
             parsed = NetworkConfig.from_json(Path(path).read_text())
         except (ConfigError, ValueError, OSError) as exc:
@@ -284,10 +285,13 @@ def cmd_sweep(config_paths: Sequence[str], prb_values: Sequence[int],
                                    total_prbs=prbs, horizon=horizon)
             try:
                 _load_config(manifest, parsed)
-            except (ConfigError, ValueError) as exc:
+            except BudgetError as exc:
                 skipped_notes.append(
                     f"skipping {Path(path).stem} at {prbs} PRBs: {exc}")
                 continue
+            except (ConfigError, ValueError) as exc:
+                print(f"validation error: {exc}", file=sys.stderr)
+                return EXIT_VALIDATION
             cells.extend(replace(manifest, seed=seed) for seed in seeds)
 
     if jobs > 1:

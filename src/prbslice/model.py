@@ -28,6 +28,11 @@ class ConfigError(ValueError):
     """Raised when a network configuration violates a structural rule."""
 
 
+class BudgetError(ConfigError):
+    """Raised when a structurally valid configuration does not fit its
+    PRB budget."""
+
+
 def max_window_usage(t_win: int, m: int) -> int:
     """Largest possible PRB usage of a slice within one window.
 
@@ -206,7 +211,8 @@ class NetworkConfig:
     # -- validation ----------------------------------------------------
 
     def validate(self) -> None:
-        """Check every structural rule; raise ConfigError on the first group."""
+        """Check every structural rule, raising ConfigError on the first
+        group that fails; then the budget, raising BudgetError."""
         problems: list[str] = []
 
         for kind, ids in (("service", [s.service_id for s in self.services]),
@@ -275,19 +281,18 @@ class NetworkConfig:
                             f"(rank {by_rank[a.service_id]}, m={a.m}) vs slice "
                             f"{b.slice_id} (rank {by_rank[b.service_id]}, m={b.m})"
                         )
+        if problems:
+            raise ConfigError("; ".join(sorted(set(problems))))
 
         # Budget feasibility: initial shares plus the residual floor must fit,
         # otherwise the residual partition starts overused or top-ups can
         # drive it negative.
         total_caps = sum(sl.usage_cap for sl in self.slices)
         if total_caps + self.overuse_floor > self.total_prbs:
-            problems.append(
+            raise BudgetError(
                 f"budget infeasible: initial shares {total_caps} + residual "
                 f"floor {self.overuse_floor} exceed total_prbs {self.total_prbs}"
             )
-
-        if problems:
-            raise ConfigError("; ".join(sorted(set(problems))))
 
     # -- JSON ------------------------------------------------------------
 

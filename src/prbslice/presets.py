@@ -44,7 +44,8 @@ def preset_config(name: str, total_prbs: int = 200,
 
 
 def preset_scenario_spec(name: str) -> ScenarioSpec:
-    return config_scenario_spec(_preset_path(name), preset_config(name))
+    return ScenarioSpec.from_json(
+        _preset_path(name).with_suffix(".scenario.json").read_text())
 
 
 def config_scenario_spec(config_path: str | Path,

@@ -9,24 +9,24 @@ nothing about the rest of this package; it only interprets the script text.
 
 The engine is constraint propagation on one assignment plus depth-first
 splitting on boolean variables when propagation stalls; underdetermined
-integer systems are answered ``unknown`` rather than guessed.  A term is
-decided on its first visit: ``decide`` evaluates it, building nothing, to a
+integer systems are answered ``unknown`` rather than guessed.  One
+evaluator, ``simplify``, partially evaluates a term under the assignment
+and builds a list only for a residual.  Each visit reads its result as a
 value (true is done, false a conflict), the unit it forces, or the
-conjuncts of an ``and``.  Only a term that stalls gets a residual
-(``simplify``: the term simplified so far) and joins the watch list of
-every variable left in it, so an assignment revisits only its watchers.
-Every change is logged on a trail.  The assertions are ids 0..n-1 in
-script order and queued in that order; a conjunct gets the next free id
-and is queued at the front, in order, so its units are set before a later
-term reads them.  A split assigns one Bool (true before false): the first
-unassigned one, in name order, of the lowest-id open term that has one.
-It propagates from that decision alone; a failed branch is undone from the
-trail.  The verdict is ``sat`` for the first leaf where every term holds,
-else ``unknown`` if any leaf was undecided, else ``unsat``.  A ``sat`` leaf
-must pass a guard: ``holds`` evaluates every assertion again on the
-complete model, and any that is not true turns the answer into
-``unknown``.  A unit that gives a declared symbol a value of the other
-sort is an error.  ``(get-info :all-statistics)`` reports, for the last
+conjuncts of an ``and``; a term that stalls keeps its residual and joins
+the watch list of every variable left in it, so an assignment revisits only
+its watchers.  Every change is logged on a trail.  The assertions are ids
+0..n-1 in script order and queued in that order; a conjunct gets the next
+free id and is queued at the front, in order, so its units are set before a
+later term reads them.  A split assigns one Bool (true before false): the
+first unassigned one, in name order, of the lowest-id open term that has
+one.  It propagates from that decision alone; a failed branch is undone
+from the trail.  The verdict is ``sat`` for the first leaf where every term
+holds, else ``unknown`` if any leaf was undecided, else ``unsat``.  A
+``sat`` leaf must pass a guard: ``simplify`` evaluates every assertion
+again on the complete model, and any that is not true turns the answer into
+``unknown``.  A unit that gives a declared symbol a value of the other sort
+is an error.  ``(get-info :all-statistics)`` reports, for the last
 ``check-sat``, ``:propagations`` (term visits), ``:splits`` (split
 variables chosen) and ``:conflicts`` (branches closed by a conflict).
 
@@ -118,18 +118,23 @@ def _emod(a: int, b: int) -> int:
     return a % abs(b)
 
 
-# operator -> its value on a list of value arguments, None for a residual
+# operator -> its value on two value arguments
+_BINARY = {"=": lambda a, b: a == b and type(a) is type(b),
+           "+": operator.add, "-": operator.sub, "div": _ediv, "mod": _emod,
+           **_COMPARE}
+# operator -> its value on a list of value arguments, None for a residual;
+# "+" and "*" have their own rule
 _FOLD = {
-    "=": lambda a: all(x == a[0] and type(x) is type(a[0]) for x in a[1:]),
+    # "=" and a comparison chain hold when each adjacent pair does
+    **{op: (lambda a, f=_BINARY[op]: all(map(f, a, a[1:])))
+       for op in ("=", *_COMPARE)},
+    # the others fold from the left; only "-" takes a lone argument
+    **{op: (lambda a, f=_BINARY[op]: -a[0] if len(a) == 1 else reduce(f, a))
+       for op in ("-", "div", "mod")},
     "distinct": lambda a: len(set(a)) == len(a),
     "xor": lambda a: (reduce(operator.xor, a, False)
                       if all(type(x) is bool for x in a) else None),
-    "-": lambda a: -a[0] if len(a) == 1 else reduce(operator.sub, a),
-    "div": lambda a: _ediv(*a), "mod": lambda a: _emod(*a),
     "abs": lambda a: abs(a[0]),
-    # a comparison chain holds when each adjacent pair does
-    **{op: (lambda a, cmp=cmp: all(map(cmp, a, a[1:])))
-       for op, cmp in _COMPARE.items()},
 }
 # operator -> (fewest, most) arguments, most None when unbounded
 _ARITY = {"not": (1, 1), "abs": (1, 1), "div": (2, 2), "mod": (2, 2),
@@ -139,43 +144,80 @@ _ARITY = {"not": (1, 1), "abs": (1, 1), "div": (2, 2), "mod": (2, 2),
 
 def simplify(t, env):
     """Partial evaluation of a term under a partial assignment: its value,
-    or the residual term."""
+    or the residual term.  ``and``, ``or``, ``=>``, ``not`` and the
+    two-argument ``_BINARY`` operators build a list only for a residual.
+    ``and`` and ``or`` stop at the argument that decides them and ``=>``
+    at a false guard, so a dead argument is never evaluated (a zero
+    divisor there is no error)."""
     if type(t) is str:
         return env.get(t, t)
     if type(t) is not list:
         return t
     op = t[0]
-    args = [env.get(x, x) if type(x) is str
-            else simplify(x, env) if type(x) is list else x
-            for x in t[1:]]
-    n = len(args)
-    fewest, most = _ARITY.get(op, (0, n))
-    if not fewest <= n <= (most or n):
-        raise SmtError(f"{op} takes {'' if most else 'at least '}{fewest} "
-                       f"argument{'s' * (fewest > 1)}, got {n}")
     if op == "and" or op == "or":
         stop = op == "or"       # the argument value that decides it
-        if any(a is stop for a in args):
-            return stop
-        out = [a for a in args if a is not (not stop)]
-        return [op] + out if len(out) > 1 else out[0] if out else not stop
-    if op == "not":
-        a = args[0]
+        skip = not stop
+        rest = None             # [op, the arguments that do not]
+        for x in t[1:]:
+            a = (env.get(x, x) if type(x) is str
+                 else simplify(x, env) if type(x) is list else x)
+            if a is stop:
+                return stop
+            if a is not skip:
+                if rest is None:
+                    rest = [op, a]
+                else:
+                    rest.append(a)
+        if rest is None:
+            return skip
+        return rest if len(rest) > 2 else rest[1]
+    n = len(t) - 1
+    if op == "not" and n == 1:
+        x = t[1]
+        a = env.get(x, x) if type(x) is str else simplify(x, env)
         if type(a) is bool:
             return not a
         return a[1] if type(a) is list and a[0] == "not" else ["not", a]
-    if op == "=>":
-        result = args[-1]
-        for a in reversed(args[:-1]):
-            if a is True:
-                continue
-            if a is False or result is True:
+    if op == "=>" and n:
+        guards = None           # the guards that are not true
+        for x in t[1:-1]:
+            a = env.get(x, x) if type(x) is str else simplify(x, env)
+            if a is False:
                 return True
-            if result is False:
-                result = simplify(["not", a], env)
-            else:
-                result = ["=>", a, result]
+            if a is not True:
+                if guards is None:
+                    guards = [a]
+                else:
+                    guards.append(a)
+        x = t[-1]
+        result = env.get(x, x) if type(x) is str else simplify(x, env)
+        if result is True or guards is None:
+            return result
+        for a in reversed(guards):
+            result = (simplify(["not", a], env) if result is False
+                      else ["=>", a, result])
         return result
+    rule = _BINARY.get(op) if n == 2 else None
+    if rule is not None:
+        x, y = t[1], t[2]
+        a = (env.get(x, x) if type(x) is str
+             else simplify(x, env) if type(x) is list else x)
+        b = (env.get(y, y) if type(y) is str
+             else simplify(y, env) if type(y) is list else y)
+        ta, tb = type(a), type(b)
+        if (ta is int or ta is bool) and (tb is int or tb is bool):
+            return rule(a, b)
+        if op != "+":
+            return [op, a, b]
+        args = [a, b]
+    else:
+        args = [env.get(x, x) if type(x) is str
+                else simplify(x, env) if type(x) is list else x
+                for x in t[1:]]
+        fewest, most = _ARITY.get(op, (0, n))
+        if not fewest <= n <= (most or n):
+            raise SmtError(f"{op} takes {'' if most else 'at least '}"
+                           f"{fewest} argument{'s' * (fewest > 1)}, got {n}")
     if op == "ite":
         c = args[0]
         return args[1] if c is True else args[2] if c is False else [op] + args
@@ -201,125 +243,6 @@ def simplify(t, env):
     return [op] + args if v is None else v
 
 
-class _Unsure(Exception):
-    """Here ``simplify`` builds ``(not k)`` over an Int k, which an
-    enclosing ``not`` unwraps to the value k."""
-
-
-_BINARY = {"+": operator.add, "-": operator.sub, "div": _ediv, "mod": _emod,
-           **_COMPARE}
-
-
-def _value(t, env):
-    """The value ``simplify`` gives ``t`` under ``env``, or None for a
-    residual.  ``=``, ``not``, ``and``, ``=>`` and binary arithmetic and
-    comparisons build nothing and skip an argument that cannot change the
-    value (so a zero divisor under a false guard is no error); every other
-    form goes to ``simplify``."""
-    if type(t) is str:
-        return env.get(t)
-    if type(t) is not list:
-        return t
-    op = t[0]
-    n = len(t)
-    if op == "=" and n == 3:
-        a = _value(t[1], env)
-        b = None if a is None else _value(t[2], env)
-        return None if b is None else a == b and type(a) is type(b)
-    if op == "not" and n == 2:
-        v = _value(t[1], env)
-        if type(v) is int:
-            raise _Unsure
-        return v if v is None else not v
-    if op == "and":
-        count, last = 0, None   # the arguments that are not True
-        for a in t[1:]:
-            v = _value(a, env)
-            if v is False:
-                return False
-            if v is not True:
-                count += 1
-                last = v
-        # a lone one is the residual, which may be an Int
-        return True if count == 0 else last if count == 1 else None
-    if op == "=>" and n > 1:
-        last = True             # the last guard that is not True
-        for i in range(1, n - 1):
-            v = _value(t[i], env)
-            if v is False:
-                return True
-            if v is not True:
-                last = v
-        v = _value(t[-1], env)
-        if v is True or last is True:
-            return v
-        if v is False and last is not None:
-            raise _Unsure       # the contrapositive of an Int guard
-        return None
-    if n == 3 and op in _BINARY:
-        a = _value(t[1], env)
-        b = None if a is None else _value(t[2], env)
-        return None if b is None else _BINARY[op](a, b)
-    v = simplify(t, env)
-    if type(v) is list and v[0] == "not":
-        raise _Unsure
-    return v if _is_val(v) else None
-
-
-def decide(t, env):
-    """What propagation makes of term ``t`` under ``env``, built from
-    ``_value`` without residuals: a value (True, False, or an ill-sorted
-    Int); the unit it forces, a ``(variable, value)`` tuple, from a bare
-    symbol, ``(not x)``, ``(= x v)``, or an ``and`` or ``=>`` that reduces
-    to one; the ``and`` arguments that are not True, as a list in order;
-    or None, open, when only ``_shape(simplify(t, env))`` can tell.  Where
-    it decides it equals that, conjuncts taken by their residuals, but for
-    the arguments ``_value`` skips."""
-    try:
-        if type(t) is str:
-            v = env.get(t)
-            return (t, True) if v is None else v
-        op = t[0] if type(t) is list else None
-        if op == "and":
-            kept = []
-            for a in t[1:]:
-                v = _value(a, env)
-                if v is False:
-                    return False
-                if v is not True:
-                    kept.append(a)
-            return decide(kept[0], env) if len(kept) == 1 else kept or True
-        if op == "=>" and len(t) > 1:
-            guards_hold = True
-            for i in range(1, len(t) - 1):
-                v = _value(t[i], env)
-                if v is False:
-                    return True
-                guards_hold = guards_hold and v is True
-            if guards_hold:
-                return decide(t[-1], env)
-            return True if _value(t[-1], env) is True else None
-        if op == "not" and len(t) == 2:
-            if type(t[1]) is str and t[1] not in env:
-                return t[1], False
-        elif op == "=" and len(t) == 3:
-            a, b = t[1], t[2]
-            if type(b) is str and b not in env:
-                a, b = b, a
-            if type(a) is str and a not in env:
-                v = _value(b, env)
-                return None if v is None else (a, v)
-        return _value(t, env)
-    except _Unsure:
-        return None
-
-
-def holds(t, env) -> bool:
-    """Whether ``t`` is true under ``env``: the model guard."""
-    r = decide(t, env)
-    return (simplify(t, env) if r is None else r) is True
-
-
 def _free_vars(t, acc: set) -> None:
     if isinstance(t, str):
         acc.add(t)
@@ -329,16 +252,24 @@ def _free_vars(t, acc: set) -> None:
 
 
 def _shape(t):
-    """``decide``'s answer read off a residual."""
+    """What propagation makes of a simplified term: its value (True is
+    done, False a conflict), the unit it forces as a ``(variable, value)``
+    tuple, the arguments of an ``and`` as a list, or None while it
+    stalls."""
     if type(t) is not list:
         return (t, True) if type(t) is str else t
-    if t[0] == "not" and type(t[1]) is str:
-        return t[1], False
-    if t[0] == "=" and len(t) == 3:
-        for a, b in ((t[1], t[2]), (t[2], t[1])):
-            if type(a) is str and _is_val(b):
-                return a, b
-    return t[1:] if t[0] == "and" else None
+    op = t[0]
+    if op == "and":
+        return t[1:]
+    if op == "not":
+        return (t[1], False) if type(t[1]) is str else None
+    if op == "=" and len(t) == 3:
+        a, b = t[1], t[2]
+        if type(a) is str and _is_val(b):
+            return a, b
+        if type(b) is str and _is_val(a):
+            return b, a
+    return None
 
 
 class Propagator:
@@ -421,10 +352,8 @@ class Propagator:
             if term is True:
                 continue
             self.stats[":propagations"] += 1
-            r = decide(term, env)
-            if r is None:       # open: build the residual
-                t = simplify(term, env)
-                r = _shape(t)
+            t = simplify(term, env)
+            r = _shape(t)
             if r is False:
                 status = "unsat"
                 break
@@ -551,7 +480,7 @@ class Interpreter:
             for name in self.order:
                 env.setdefault(name, 0 if self.sorts[name] == "Int" else False)
             # soundness guard: the model must satisfy every original assertion
-            if all(holds(t, env) for t in self.assertions):
+            if all(simplify(t, env) is True for t in self.assertions):
                 self.model = env
             else:
                 self.result = "unknown"

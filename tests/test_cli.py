@@ -21,6 +21,16 @@ C324 = str(CONFIGS / "config_3_2_4.json")
 C5413 = str(CONFIGS / "config_5_4_13.json")
 
 
+def duplicate_slice_id_config() -> str:
+    """``config_3_2_4.json`` with slice 2's id set to 1: it parses, but
+    breaks a structural rule."""
+    doc = json.loads(Path(C324).read_text())
+    for sl in doc["slices"]:
+        if sl["slice_id"] == 2:
+            sl["slice_id"] = 1
+    return json.dumps(doc)
+
+
 def read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
@@ -211,7 +221,9 @@ class TestMissingInput:
 
 
 class TestSweep:
-    @pytest.mark.parametrize("text", ['{"bad": 1', '{"bad": 1}'])
+    @pytest.mark.parametrize("text", [
+        '{"bad": 1', '{"bad": 1}',
+        pytest.param(duplicate_slice_id_config(), id="duplicate-slice-id")])
     def test_unparsable_config_is_a_validation_error(self, tmp_path, capsys,
                                                      text):
         bad = tmp_path / "bad.json"

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from prbslice.model import (
+    BudgetError,
     ConfigError,
     NetworkConfig,
     ServiceSpec,
@@ -126,7 +127,7 @@ class TestConfigValidation:
             preset_config(name).validate()
 
     def test_budget_rule_rejects(self):
-        with pytest.raises(ConfigError, match="budget infeasible"):
+        with pytest.raises(BudgetError, match="budget infeasible"):
             preset_config("5-4-13", total_prbs=100).validate()
 
     def test_budget_rule_boundary(self):

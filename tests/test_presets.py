@@ -1,5 +1,8 @@
+from pathlib import Path
+
 import pytest
 
+from prbslice import presets
 from prbslice.presets import (
     PRESET_NAMES,
     config_scenario_spec,
@@ -44,6 +47,15 @@ def test_sibling_spec_else_default(tmp_path):
     calibrated = preset_scenario_spec("3-2-4")
     (tmp_path / "net.scenario.json").write_text(calibrated.to_json())
     assert config_scenario_spec(path, config) == calibrated
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_preset_spec_is_the_sibling_spec(name):
+    # the preset rule and the CLI's sibling rule name the same file
+    path = (Path(presets.__file__).with_name("configs")
+            / f"config_{name.replace('-', '_')}.json")
+    assert preset_scenario_spec(name) == config_scenario_spec(
+        path, preset_config(name))
 
 
 def test_calibration_keeps_residual_un_overused():

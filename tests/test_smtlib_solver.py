@@ -17,10 +17,6 @@ from prbslice.smtlib_solver import (
     Interpreter,
     SmtError,
     _shape,
-    _Unsure,
-    _value,
-    decide,
-    holds,
     parse,
     simplify,
     tokenize,
@@ -49,8 +45,8 @@ def line_tokenize(text: str) -> list:
 
 
 # The residual evaluator and unit reader that propagation ran on every
-# visit before terms were decided on the first one: ``decide``, ``_value``
-# and ``simplify`` must agree with them, as ``tokenize`` must with
+# visit before terms were decided on the first one: ``simplify`` and
+# ``_shape`` must agree with them, as ``tokenize`` must with
 # ``line_tokenize``.
 
 _REF_COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
@@ -348,15 +344,12 @@ P0_TRUE = dict.fromkeys(BOOLS, False) | {"p0": True, "n0": 2, "n1": 2}
 
 
 def assert_decided_as_reference(term, env):
-    """Where ``decide`` decides, it is the parent's residual read by
-    ``reference_shape``; each conjunct is compared by its residual."""
-    got = decide(term, env)
-    if got is None:
-        return
-    want = reference_shape(reference_simplify(term, env))
-    if type(got) is list:
-        got = [reference_simplify(sub, env) for sub in got]
+    """``simplify`` gives the parent's residual, and ``_shape`` reads it
+    as ``reference_shape`` does."""
+    got = simplify(term, env)
+    want = reference_simplify(term, env)
     assert repr(got) == repr(want)
+    assert repr(_shape(got)) == repr(reference_shape(want))
 
 
 class TestEvaluate:
@@ -372,7 +365,8 @@ class TestEvaluate:
     @example(["not", ["=>", "p0", "p0", "p1"]], P0_TRUE)
     def test_true_exactly_where_simplify_is_true(self, term, env):
         # the model guard under a complete assignment
-        assert holds(term, env) == (reference_simplify(term, env) is True)
+        assert ((simplify(term, env) is True)
+                == (reference_simplify(term, env) is True))
         assert_decided_as_reference(term, env)
 
     @settings(max_examples=1000, deadline=None)
@@ -392,11 +386,9 @@ class TestEvaluate:
     @example(["not", ["ite", True, ["not", 3], 1]], {})
     def test_value_is_the_reference_value(self, term, env):
         want = reference_simplify(term, env)
-        try:
-            got = _value(term, env)
-        except _Unsure:
-            return
-        assert repr(got) == repr(want if type(want) in (bool, int) else None)
+        got = simplify(term, env)
+        assert repr(got if type(got) in (bool, int) else None) == repr(
+            want if type(want) in (bool, int) else None)
 
     @settings(max_examples=500, deadline=None)
     @given(ground_terms(), PARTIAL)
@@ -408,35 +400,49 @@ class TestEvaluate:
 
     def test_units_and_conjuncts(self):
         env = {"y": 4, "g": True}
-        assert decide(["=", "x", ["+", "y", 1]], env) == ("x", 5)
-        assert decide(["=", ["+", "y", 1], "x"], env) == ("x", 5)
-        assert decide("p", env) == ("p", True)
-        assert decide(["not", "p"], env) == ("p", False)
-        assert decide(["=>", "g", ["=", "x", 2]], env) == ("x", 2)
+
+        def visit(term, env):
+            return _shape(simplify(term, env))
+
+        assert visit(["=", "x", ["+", "y", 1]], env) == ("x", 5)
+        assert visit(["=", ["+", "y", 1], "x"], env) == ("x", 5)
+        assert visit("p", env) == ("p", True)
+        assert visit(["not", "p"], env) == ("p", False)
+        assert visit(["=>", "g", ["=", "x", 2]], env) == ("x", 2)
         # a linear term is not solved for its variable
-        assert decide(["=", ["+", "x", 1], 5], env) is None
-        # the conjuncts that are not true, unchanged and in order
-        conj = ["and", ["=", "x", 1], ["=", "y", 4], "p"]
-        assert decide(conj, env) == [["=", "x", 1], "p"]
-        assert decide(["and", ["=", "y", 4], "p"], env) == ("p", True)
-        assert decide(["=>", "q", ["=", "x", 1]], env) is None
+        assert visit(["=", ["+", "x", 1], 5], env) is None
+        # the conjuncts that are not true, by their residuals, in order
+        conj = ["and", ["=", "x", 1], ["=", "y", 4], ["=", "x", "y"]]
+        assert visit(conj, env) == [["=", "x", 1], ["=", "x", 4]]
+        assert visit(["and", ["=", "y", 4], "p"], env) == ("p", True)
+        assert visit(["=>", "q", ["=", "x", 1]], env) is None
 
     def test_deciding_argument_ends_evaluation(self):
-        # simplify evaluates every argument, so a zero divisor under a
-        # false guard raises there; decide stops at the guard
-        dead = ["=>", False, ["=", ["div", 1, 0], 1]]
-        with pytest.raises(SmtError, match="division by zero"):
-            simplify(dead, {})
-        assert decide(dead, {}) is True
-        with pytest.raises(SmtError, match="division by zero"):
-            decide(["=>", True, ["=", ["div", 1, 0], 1]], {})
+        # simplify stops at a false and-argument, a true or-argument and a
+        # false guard, so a zero divisor after one is never evaluated; an
+        # argument before it, or after one that does not decide, is
+        bad = ["=", ["div", 1, 0], 1]
+        assert simplify(["=>", False, bad], {}) is True
+        assert simplify(["=>", "p", "q", False, bad], {}) is True
+        assert simplify(["and", "p", False, bad], {}) is False
+        assert simplify(["or", "p", True, bad], {}) is True
+        assert simplify(["or", ["and", False, bad], "p"], {}) == "p"
+        for live in (["=>", True, bad], ["and", True, bad],
+                     ["or", False, bad], ["and", bad, False],
+                     ["or", bad, True], ["=>", bad, False, True]):
+            with pytest.raises(SmtError, match="division by zero"):
+                simplify(live, {})
 
     def test_dead_zero_divisor_is_no_error(self):
-        # the one change from evaluating every argument: this script was
-        # an (error "division by zero") before terms were decided on
-        # first visit
-        assert run_script("(assert (=> false (= (div 1 0) 1)))(check-sat)"
-                          ).strip() == "sat"
+        # the one change from evaluating every argument: each script was
+        # an (error "division by zero") while the dead argument was
+        # evaluated
+        for dead in ("(=> false (= (div 1 0) 1))",
+                     "(or true (= (div 1 0) 1))",
+                     "(xor (and false (= (div 1 0) 1)) true)"):
+            assert run_script(f"(assert {dead})(check-sat)").strip() == "sat"
+        assert run_script("(assert (and false (= (div 1 0) 1)))(check-sat)"
+                          ).strip() == "unsat"
         with pytest.raises(SmtError, match="division by zero"):
             run_script("(assert (=> true (= (div 1 0) 1)))(check-sat)")
 
