@@ -16,11 +16,17 @@ Both upper layers are linear sums: at each step they emit one assertion per
 slice, one per partition and one for the residual, so the script grows with
 N*T rather than with the number of signal combinations.
 
-Implications stated by the rules are made biconditional by explicit closure
-assertions (flags are false in every uncovered case) and shares are frozen by
-frame assertions away from boundaries, so the script has exactly one model
-once the scenario flags are pinned.  Every assertion carries a provenance
-tag; the vocabulary is the TAGS tuple below.
+The script is in definitional (SSA) form: every declared symbol has exactly
+one definition -- an initial value, a scenario pin, or an update ``(= x e)``
+(``(not flag)`` for a signal away from its boundary, the ``closure`` tag) --
+and ``e`` names only symbols defined earlier in the script.  Guarded cases
+are folded into ``ite`` terms, so a user event adds ``(ite en 1 0)`` and a
+boundary move is ``cap`` times ``(ite top 1 0)`` minus ``(ite ramp 1 0)``;
+away from a boundary ``frame`` definitions carry the shares over.  So the
+script has exactly one model once the scenario flags are pinned, and a
+solver that reads it in order decides each term on its first visit.  Only
+the ``signal-conflict`` guards define nothing.  Every assertion carries a
+provenance tag; the vocabulary is the TAGS tuple below.
 
 Integer variables use the Int sort (every quantity is a count), booleans the
 Bool sort.  A per-slice auxiliary Int holds the residual value after the
@@ -84,14 +90,7 @@ def v_se(mu, j): return f"ser_e_{mu}_{j}"
 
 
 def _and(*parts: str) -> str:
-    parts = tuple(p for p in parts if p)
-    if not parts:
-        return "true"
-    return parts[0] if len(parts) == 1 else f"(and {' '.join(parts)})"
-
-
-def _imp(guard: str, body: str) -> str:
-    return f"(=> {guard} {body})"
+    return f"(and {' '.join(parts)})"
 
 
 def encode(config: NetworkConfig, scenario: ScenarioTrace) -> ConstraintSet:
@@ -158,116 +157,64 @@ def encode(config: NetworkConfig, scenario: ScenarioTrace) -> ConstraintSet:
         # residual-overuse flag from the previous residual share
         emit("closure", f"(= {v_ovr(j)} (< {v_rp(j - 1)} {floor}))")
 
-        # per-service entry rules
+        # per-service entry rules: a multi-slice service enters its slice
+        # with the fewest users, the lowest id on a tie
         for svc in config.services:
             mu = svc.service_id
-            owned = config.service_slices(mu)
-            if len(owned) == 1:
-                i = owned[0].slice_id
-                guard = _and(f"(not {v_ovr(j)})", v_se(mu, j))
-                emit("entry-single", _imp(guard, v_en(i, j)))
-                emit("closure", _imp(f"(not {guard})", f"(not {v_en(i, j)})"))
-            else:
-                for cand in owned:
-                    c = cand.slice_id
-                    comps = []
-                    for other in owned:
-                        s = other.slice_id
-                        if s == c:
-                            continue
-                        rel = "<=" if c < s else "<"
-                        comps.append(
-                            f"({rel} {v_usr(c, j - 1)} {v_usr(s, j - 1)})")
-                    guard = _and(f"(not {v_ovr(j)})", v_se(mu, j), *comps)
-                    emit("entry-argmin", _imp(guard, v_en(c, j)))
-                    emit("closure",
-                         _imp(f"(not {guard})", f"(not {v_en(c, j)})"))
+            owned = [sl.slice_id for sl in config.service_slices(mu)]
+            for c in owned:
+                comps = [f"({'<=' if c < s else '<'} {v_usr(c, j - 1)} "
+                         f"{v_usr(s, j - 1)})" for s in owned if s != c]
+                emit("entry-argmin" if comps else "entry-single",
+                     f"(= {v_en(c, j)} "
+                     f"{_and(f'(not {v_ovr(j)})', v_se(mu, j), *comps)})")
 
         # slice layer
         for sl in slices:
             i, cap = sl.slice_id, sl.usage_cap
-            en = v_en(i, j)
-            lv = v_lv(i, j)
-            up = _and(en, f"(not {lv})")
-            down = _and(f"(not {en})", lv)
-            both = _and(en, lv)
-            neither = _and(f"(not {en})", f"(not {lv})")
-
-            emit("user-count", _and(
-                _imp(up, f"(= {v_usr(i, j)} (+ {v_usr(i, j - 1)} 1))"),
-                _imp(down, f"(= {v_usr(i, j)} (- {v_usr(i, j - 1)} 1))"),
-                _imp(both, f"(= {v_usr(i, j)} {v_usr(i, j - 1)})"),
-                _imp(neither, f"(= {v_usr(i, j)} {v_usr(i, j - 1)})"),
-            ))
-
-            if j % sl.t_win == 1 % sl.t_win:
-                emit("window-entries", _and(
-                    _imp(en, f"(= {v_ew(i, j)} 1)"),
-                    _imp(f"(not {en})", f"(= {v_ew(i, j)} 0)"),
-                ))
-            else:
-                emit("window-entries", _and(
-                    _imp(en, f"(= {v_ew(i, j)} (+ {v_ew(i, j - 1)} 1))"),
-                    _imp(f"(not {en})", f"(= {v_ew(i, j)} {v_ew(i, j - 1)})"),
-                ))
+            en, lv = v_en(i, j), v_lv(i, j)
+            step = f"(ite {en} 1 0)"
+            emit("user-count", f"(= {v_usr(i, j)} "
+                 f"(- (+ {v_usr(i, j - 1)} {step}) (ite {lv} 1 0)))")
+            emit("window-entries", f"(= {v_ew(i, j)} " + (
+                f"{step})" if j % sl.t_win == 1 % sl.t_win
+                else f"(+ {v_ew(i, j - 1)} {step}))"))
 
             inc = _and(en, f"(not {lv})",
                        f"(= (mod {v_usr(i, j)} {sl.m}) {1 % sl.m})")
-            dec = _and(f"(not {en})", lv,
-                       f"(= (mod {v_usr(i, j)} {sl.m}) 0)")
-            emit("usage-residual", _and(
-                _imp(inc, _and(f"(= {v_usg(i, j)} (+ {v_usg(i, j - 1)} 1))",
-                               f"(= {v_rmid(i, j)} (- {v_resi(i, j - 1)} 1))")),
-                _imp(dec, _and(f"(= {v_usg(i, j)} (- {v_usg(i, j - 1)} 1))",
-                               f"(= {v_rmid(i, j)} (+ {v_resi(i, j - 1)} 1))")),
-            ))
-            emit("closure", _imp(
-                _and(f"(not {inc})", f"(not {dec})"),
-                _and(f"(= {v_usg(i, j)} {v_usg(i, j - 1)})",
-                     f"(= {v_rmid(i, j)} {v_resi(i, j - 1)})"),
-            ))
+            dec = _and(f"(not {en})", lv, f"(= (mod {v_usr(i, j)} {sl.m}) 0)")
+            d = f"(- (ite {inc} 1 0) (ite {dec} 1 0))"
+            emit("usage-residual",
+                 _and(f"(= {v_usg(i, j)} (+ {v_usg(i, j - 1)} {d}))",
+                      f"(= {v_rmid(i, j)} (- {v_resi(i, j - 1)} {d}))"))
 
+            top, ramp, rmid = v_top(i, j), v_ramp(i, j), v_rmid(i, j)
             if j % sl.t_win == 0:
-                top_cond = _and(f"(not {v_ovr(j)})",
-                                f"(<= {v_rmid(i, j)} {cap})")
-                emit("top-signal", _imp(top_cond, v_top(i, j)))
-                emit("closure",
-                     _imp(f"(not {top_cond})", f"(not {v_top(i, j)})"))
-                ramp_cond = _and(
-                    f"(>= (- {v_rmid(i, j)} {cap}) {cap})",
-                    f"(= {v_ew(i, j)} 0)")
-                emit("ramp-signal", _imp(ramp_cond, v_ramp(i, j)))
-                emit("closure",
-                     _imp(f"(not {ramp_cond})", f"(not {v_ramp(i, j)})"))
+                emit("top-signal", f"(= {top} (and "
+                     f"(not {v_ovr(j)}) (<= {rmid} {cap})))")
+                emit("ramp-signal", f"(= {ramp} (and "
+                     f"(>= (- {rmid} {cap}) {cap}) (= {v_ew(i, j)} 0)))")
             else:
-                emit("closure", f"(not {v_top(i, j)})")
-                emit("closure", f"(not {v_ramp(i, j)})")
+                emit("closure", f"(not {top})")
+                emit("closure", f"(not {ramp})")
+            emit("signal-conflict", f"(not (and {top} {ramp}))")
 
-            emit("signal-conflict", _and(
-                _imp(v_top(i, j), f"(not {v_ramp(i, j)})"),
-                _imp(v_ramp(i, j), f"(not {v_top(i, j)})"),
-            ))
-
-        # partition layer: a boundary slice moves by its own cap, the
-        # partition share by the sum of its members' moves
+        # partition layer: a boundary slice moves share and residual by its
+        # own cap, the partition share by the sum of its members' moves
         for k, members in config.partitions.items():
             moves = []
             for sl in (slices[i - 1] for i in members):
                 i, cap = sl.slice_id, sl.usage_cap
                 shr, shr_prev = v_shr(i, j), v_shr(i, j - 1)
                 resi, rmid = v_resi(i, j), v_rmid(i, j)
-                hold = _and(f"(= {shr} {shr_prev})", f"(= {resi} {rmid})")
                 if j % sl.t_win != 0:
-                    emit("frame", hold)
+                    emit("frame", _and(f"(= {shr} {shr_prev})",
+                                       f"(= {resi} {rmid})"))
                     continue
-                top, ramp = v_top(i, j), v_ramp(i, j)
-                emit("partition-adjust", _and(
-                    _imp(top, _and(f"(= {shr} (+ {shr_prev} {cap}))",
-                                   f"(= {resi} (+ {rmid} {cap}))")),
-                    _imp(ramp, _and(f"(= {shr} (- {shr_prev} {cap}))",
-                                    f"(= {resi} (- {rmid} {cap}))")),
-                    _imp(_and(f"(not {top})", f"(not {ramp})"), hold),
-                ))
+                mv = (f"(* {cap} (- (ite {v_top(i, j)} 1 0) "
+                      f"(ite {v_ramp(i, j)} 1 0)))")
+                emit("partition-adjust", _and(f"(= {shr} (+ {shr_prev} {mv}))",
+                                              f"(= {resi} (+ {rmid} {mv}))"))
                 moves.append(f"(- {shr} {shr_prev})")
             if moves:
                 emit("partition-adjust", f"(= {v_pt(k, j)} "
@@ -282,13 +229,12 @@ def encode(config: NetworkConfig, scenario: ScenarioTrace) -> ConstraintSet:
              f"(= {v_rp(j)} (+ {v_rp(j - 1)} {give_back}))")
 
     cs = ConstraintSet(declarations=tuple(decls), assertions=tuple(asserts))
-    if horizon >= 1:
-        limit = BOUND_MULTIPLIER * constraint_count_bound(config)
-        if cs.assertion_count > limit:
-            raise EncodingError(
-                f"emitted {cs.assertion_count} assertions, above the "
-                f"documented bound {limit}"
-            )
+    limit = BOUND_MULTIPLIER * constraint_count_bound(config)
+    if cs.assertion_count > limit:
+        raise EncodingError(
+            f"emitted {cs.assertion_count} assertions, above the "
+            f"documented bound {limit}"
+        )
     return cs
 
 

@@ -223,8 +223,8 @@ class NetworkConfig:
                                 f"1..{len(ids)}, got {ids}")
         if self.total_prbs < 1:
             problems.append("total_prbs must be >= 1")
-        if self.horizon < 0:
-            problems.append("horizon must be >= 0")
+        if self.horizon < 1:
+            problems.append("horizon must be >= 1")
         if not 0 < self.overuse_fraction <= 1:
             problems.append("overuse_fraction must lie in (0, 1]")
         if self.timestep_minutes <= 0:

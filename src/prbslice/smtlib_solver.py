@@ -144,10 +144,11 @@ _ARITY = {"not": (1, 1), "abs": (1, 1), "div": (2, 2), "mod": (2, 2),
 
 def simplify(t, env):
     """Partial evaluation of a term under a partial assignment: its value,
-    or the residual term.  ``and``, ``or``, ``=>``, ``not`` and the
-    two-argument ``_BINARY`` operators build a list only for a residual.
-    ``and`` and ``or`` stop at the argument that decides them and ``=>``
-    at a false guard, so a dead argument is never evaluated (a zero
+    or the residual term.  ``and``, ``or``, ``=>``, ``ite``, ``not`` and
+    the two-argument ``_BINARY`` operators build a list only for a
+    residual.  ``and`` and ``or`` stop at the argument that decides them,
+    ``=>`` at a false guard, and an ``ite`` with a Bool condition evaluates
+    only its taken branch, so a dead argument is never evaluated (a zero
     divisor there is no error)."""
     if type(t) is str:
         return env.get(t, t)
@@ -172,6 +173,17 @@ def simplify(t, env):
             return skip
         return rest if len(rest) > 2 else rest[1]
     n = len(t) - 1
+    if op == "ite" and n == 3:
+        x = t[1]
+        c = (env.get(x, x) if type(x) is str
+             else simplify(x, env) if type(x) is list else x)
+        if type(c) is bool:
+            x = t[2] if c else t[3]
+            return (env.get(x, x) if type(x) is str
+                    else simplify(x, env) if type(x) is list else x)
+        return [op, c] + [env.get(x, x) if type(x) is str
+                          else simplify(x, env) if type(x) is list else x
+                          for x in t[2:]]
     if op == "not" and n == 1:
         x = t[1]
         a = env.get(x, x) if type(x) is str else simplify(x, env)
@@ -218,9 +230,6 @@ def simplify(t, env):
         if not fewest <= n <= (most or n):
             raise SmtError(f"{op} takes {'' if most else 'at least '}"
                            f"{fewest} argument{'s' * (fewest > 1)}, got {n}")
-    if op == "ite":
-        c = args[0]
-        return args[1] if c is True else args[2] if c is False else [op] + args
     if op == "+" or op == "*":
         unit = const = 0 if op == "+" else 1
         rest = []

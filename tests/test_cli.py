@@ -85,6 +85,13 @@ class TestRun:
                      "--out", str(tmp_path / "x")])
         assert code == EXIT_SOLVER
 
+    def test_zero_horizon_is_a_validation_error(self, tmp_path, capsys):
+        code = main(["run", "--config", C324, "--seed", "1",
+                     "--horizon", "0", "--out", str(tmp_path / "x")])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            "validation error: horizon must be >= 1\n")
+
     def test_seed_or_scenario_required(self, tmp_path):
         code = main(["run", "--config", C324, "--mode", "oracle",
                      "--out", str(tmp_path / "x")])
@@ -278,6 +285,15 @@ class TestSweep:
         assert len(rows) == 1
         assert float(rows[0]["solver_wall_time"]) > 0
 
+    def test_zero_horizon_is_a_validation_error(self, tmp_path, capsys):
+        out = tmp_path / "zero.csv"
+        assert main(["sweep", "--config", C324, "--total-prbs", "200",
+                     "--seeds", "1", "--horizon", "0",
+                     "--out", str(out)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            "validation error: horizon must be >= 1\n")
+        assert not out.exists()
+
     def test_parallel_jobs_match_serial(self, tmp_path):
         serial, parallel = tmp_path / "s.csv", tmp_path / "p.csv"
         args = ["sweep", "--config", C324, "--total-prbs", "200",
@@ -338,8 +354,8 @@ ARTIFACT_SHA256 = {
                  "338736e66e9fb56e2ed83f37d03ca0eb",
     "trace.json": "e89628c6eeeb66fe391c5066c67a9027"
                   "5605881039fe04e818ecbd428654f71f",
-    "model.smt2": "096901d3290d60c869a25a02c74d9748"
-                  "d46e8d6236be7e2a4b6c1b275954f80f",
+    "model.smt2": "654328084a2fdfa831e5d5b8a92411a5"
+                  "fbd5538c6464f0f36b9048efafb94b61",
     "verdict.json": "9056fd9b7c79762c42bc0ec666bb4e12"
                     "173e6fc866668b534fb2c4380cab4779",
     "smt_trace.csv": "0a8ee14c062e85d2452245e0088ed359"

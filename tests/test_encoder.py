@@ -32,7 +32,8 @@ def golden_inputs():
     return config, scenario
 
 
-def symbols_in(formula: str) -> set:
+def symbols(*terms) -> set:
+    """The symbols that parsed terms name, operators aside."""
     out = set()
 
     def walk(node):
@@ -42,9 +43,13 @@ def symbols_in(formula: str) -> set:
         elif isinstance(node, str):
             out.add(node)
 
-    for form in parse(tokenize(formula)):
-        walk(form)
+    for term in terms:
+        walk(term)
     return out
+
+
+def symbols_in(formula: str) -> set:
+    return symbols(*parse(tokenize(formula)))
 
 
 class TestEncode:
@@ -54,14 +59,11 @@ class TestEncode:
         second = emit_smtlib(encode(config, scenario))
         assert first == second
 
-    def test_zero_horizon_only_initial(self):
+    def test_zero_horizon_rejected(self):
         config = single_slice_config(horizon=0)
         scenario = ScenarioTrace(seed=0, arrivals=((),), departures=((),))
-        cs = encode(config, scenario)
-        assert cs.assertions
-        assert all(tag == "initial" for tag, _ in cs.assertions)
-        script = emit_smtlib(cs)
-        assert "(check-sat)" in script
+        with pytest.raises(ConfigError, match="horizon must be >= 1"):
+            encode(config, scenario)
 
     def test_empty_set_renders_header_and_checksat(self):
         script = emit_smtlib(ConstraintSet(declarations=(), assertions=()))
@@ -122,6 +124,59 @@ class TestWideLayouts:
         trace = extract_trace(verdict, config, scenario)
         assert diff_traces(simulate(config, scenario), trace) == []
         assert check_all(trace, config).all_passed
+
+
+def definitional_cells():
+    for name in PRESET_NAMES:
+        spec = preset_scenario_spec(name)
+        for seed in (1, 2, 3):
+            yield pytest.param(preset_config(name), spec, seed,
+                               id=f"{name}-seed{seed}")
+    yield pytest.param(preset_config("5-4-13", horizon=70),
+                       preset_scenario_spec("5-4-13"), 1, id="5-4-13-T70")
+    for K, r in ((8, 1), (6, 2), (3, 7)):
+        config = wide_config(K, r)
+        yield pytest.param(config, default_scenario_spec(config), 1,
+                           id=f"wide-{K}x{r}")
+
+
+def definition(part, declared):
+    """(symbol, right side) when ``part`` is ``(= symbol rhs)`` or
+    ``(not symbol)`` over a declared symbol, else None."""
+    if (isinstance(part, list) and part[0] in ("=", "not")
+            and isinstance(part[1], str) and part[1] in declared):
+        return part[1], part[2:]
+    return None
+
+
+class TestDefinitionalForm:
+    """Each declared symbol is defined once, by a scenario pin, an initial
+    value or an update, top level or as a conjunct of a top-level ``and``,
+    and each right side names only symbols defined above it.  So the
+    pinned script has exactly one model, and reading the definitions in
+    script order computes it."""
+
+    @pytest.mark.parametrize("config, spec, seed", definitional_cells())
+    def test_one_definition_per_symbol_in_script_order(self, config, spec,
+                                                       seed):
+        cs = encode(config, spec.generate(config, seed))
+        declared = {name for name, _ in cs.declarations}
+        defined: set = set()
+        for tag, formula in cs.assertions:
+            (term,) = parse(tokenize(formula))
+            parts = term[1:] if term[0] == "and" else [term]
+            defs = [definition(part, declared) for part in parts]
+            if None in defs:
+                # only the signal-conflict guards define nothing, and they
+                # read symbols already defined
+                assert tag == "signal-conflict" and not any(defs), formula
+                assert symbols(term) <= defined, formula
+                continue
+            for sym, rhs in defs:
+                assert sym not in defined, f"{sym} defined twice"
+                assert symbols(*rhs) <= defined, (sym, symbols(*rhs) - defined)
+                defined.add(sym)
+        assert defined == declared
 
 
 class TestGoldenSnapshot:

@@ -167,6 +167,11 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="priority ordering"):
             replace(cfg, slices=slices).validate()
 
+    def test_horizon_at_least_one(self):
+        with pytest.raises(ConfigError, match="horizon must be >= 1") as exc:
+            preset_config("3-2-4", horizon=0).validate()
+        assert not isinstance(exc.value, BudgetError)
+
     def test_overuse_fraction_range(self):
         with pytest.raises(ConfigError):
             replace(single_slice_config(), overuse_fraction=Fraction(0)).validate()

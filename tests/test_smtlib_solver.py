@@ -446,6 +446,25 @@ class TestEvaluate:
         with pytest.raises(SmtError, match="division by zero"):
             run_script("(assert (=> true (= (div 1 0) 1)))(check-sat)")
 
+    def test_dead_ite_branch_is_no_error(self):
+        # an ite with a Bool condition evaluates only its taken branch;
+        # the dead division was an (error "division by zero") while every
+        # argument was evaluated
+        out = run_script("(declare-const x Int)"
+                         "(assert (= x (ite true 1 (div 1 0))))"
+                         "(check-sat)(get-model)")
+        assert out.splitlines()[:2] == ["sat", "("]
+        assert "(define-fun x () Int 1)" in out
+        assert simplify(["ite", "p", ["div", 1, 0], 2], {"p": False}) == 2
+        with pytest.raises(SmtError, match="division by zero"):
+            simplify(["ite", "p", ["div", 1, 0], 2], {"p": True})
+        # a condition that is no Bool value leaves a residual, both
+        # branches evaluated
+        assert simplify(["ite", 2, "x", ["+", 1, 1]], {}) == [
+            "ite", 2, "x", 2]
+        assert simplify(["ite", "p", "x", "y"], {"y": 3}) == [
+            "ite", "p", "x", 3]
+
 
 class TestSolving:
     def test_trivial_sat(self):
@@ -646,8 +665,26 @@ class TestStatistics:
         config = preset_config("5-4-13", total_prbs=200, horizon=70)
         scenario = preset_scenario_spec("5-4-13").generate(config, 1)
         stats = statistics(emit_smtlib(encode(config, scenario)))
-        assert stats == {":propagations": 14700, ":splits": 0,
+        assert stats == {":propagations": 12670, ":splits": 0,
                          ":conflicts": 0}
+
+    @pytest.mark.parametrize("name, horizon", [
+        *((name, 30) for name in PRESET_NAMES), ("5-4-13", 70)])
+    def test_preset_terms_never_stall(self, name, horizon):
+        # every definition names only symbols defined above it, so each
+        # assertion and each conjunct of a top-level and is decided on its
+        # one visit: a term left waiting for a later variable would be
+        # visited again, and no cell needs a split
+        config = preset_config(name, total_prbs=200, horizon=horizon)
+        scenario = preset_scenario_spec(name).generate(config, 1)
+        script = emit_smtlib(encode(config, scenario))
+        terms = [form[1] for form in parse(tokenize(script))
+                 if form[0] == "assert"]
+        conjuncts = sum(len(t) - 1 for t in terms
+                        if type(t) is list and t[0] == "and")
+        assert statistics(script) == {
+            ":propagations": len(terms) + conjuncts, ":splits": 0,
+            ":conflicts": 0}
 
     def test_statistics_zero_before_check_sat(self):
         assert statistics("") == {
