@@ -10,15 +10,18 @@ Subcommands
 ``run``, ``compare``, ``sweep`` and the acceptance batch share
 ``run_pipeline``, and ``STATUS_MAP`` turns its status into the exit code of
 ``run`` and ``compare`` (which runs it in oracle mode): 0 success, 2
-validation failure (an input file that is missing or invalid, or a pinned
-scenario the simulator rejects), 3 property failure, 4 solver failure (not
-run, unsat/unknown/timeout, or an unreadable output or model), 5 trace
-mismatch in differential mode; and into the ``sweep`` status column
-(``ok``, ``property:*``, ``solver:*``, ``error:*``).  ``sweep`` writes its
-CSV in full either way, then exits 4 if any cell is ``solver:*`` or
-``error:*``, else 3 if any cell is ``property:*``; skipped (config,
-budget) pairs over budget do not count, and a config file that is missing
-or breaks a structural rule exits 2 before any cell runs.
+validation failure, 3 property failure, 4 solver failure (not run,
+unsat/unknown/timeout, or an unreadable output or model), 5 trace mismatch
+in differential mode; and into the ``sweep`` status column (``ok``,
+``property:*``, ``solver:*``, ``error:*``).  A validation failure is an
+input file that is missing or unreadable, a config, scenario or scenario
+spec document that does not load, or a scenario the simulator rejects,
+pinned or generated; an input that does not load writes no output.
+``sweep`` reads each config file and its sibling spec once, before any
+cell runs, and exits 2 with no CSV if one does not load; (config, budget)
+pairs over budget are skipped with a note.  Otherwise it writes its CSV in
+full, then exits 4 if any cell is ``solver:*`` or ``error:*``, else 3 if
+any cell is ``property:*``.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -53,64 +57,40 @@ EXIT_SOLVER = 4
 EXIT_DIFF = 5
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Everything one run needs; differential mode always has a solver
-    command because the bundled solver is the default."""
-
-    config_path: str
-    mode: str = "oracle"            # oracle | smt | differential
-    out_dir: str = ""
-    seed: Optional[int] = None
-    scenario_path: Optional[str] = None
-    scenario_spec_path: Optional[str] = None
-    solver_cmd: Optional[str] = None
-    timeout: float = 120.0
-    total_prbs: Optional[int] = None
-    horizon: Optional[int] = None
+def _config(parsed: NetworkConfig, total_prbs: Optional[int],
+            horizon: Optional[int]) -> NetworkConfig:
+    """``parsed`` with the budget and horizon overrides that are set,
+    validated."""
+    overrides = {"total_prbs": total_prbs, "horizon": horizon}
+    config = replace(parsed, **{k: v for k, v in overrides.items()
+                                if v is not None})
+    config.validate()
+    return config
 
 
-def _load_config(manifest: RunManifest,
-                 cfg: Optional[NetworkConfig] = None) -> NetworkConfig:
-    """The config of ``manifest`` (``cfg`` if the caller has parsed it)
-    with the manifest's budget and horizon, validated."""
-    if cfg is None:
-        cfg = NetworkConfig.from_json(Path(manifest.config_path).read_text())
-    changes = {}
-    if manifest.total_prbs is not None:
-        changes["total_prbs"] = manifest.total_prbs
-    if manifest.horizon is not None:
-        changes["horizon"] = manifest.horizon
-    if changes:
-        cfg = replace(cfg, **changes)
-    cfg.validate()
-    return cfg
-
-
-def _load_scenario(manifest: RunManifest, config: NetworkConfig) -> ScenarioTrace:
-    if manifest.scenario_path:
-        scenario = ScenarioTrace.from_json(
-            Path(manifest.scenario_path).read_text())
-        scenario.check_dimensions(config)
-        return scenario
-    if manifest.seed is None:
-        raise ConfigError("either --scenario or --seed is required")
-    if manifest.scenario_spec_path:
-        spec = ScenarioSpec.from_json(
-            Path(manifest.scenario_spec_path).read_text())
-    else:
-        spec = config_scenario_spec(manifest.config_path, config)
-    return spec.generate(config, manifest.seed)
-
-
-def _load_inputs(manifest: RunManifest):
-    """The validated config and the scenario of ``manifest``, or None after
-    printing why not: a file that cannot be read is a validation failure,
-    the same as an invalid document."""
+def _inputs(args: argparse.Namespace):
+    """The validated config and the scenario that ``args`` name, or None
+    after printing why not.  The scenario is the pinned ``--scenario`` if
+    given (no spec is read then), else one generated from ``--seed`` and
+    ``--scenario-spec`` or the config's sibling spec.  A file that cannot
+    be read, a document that does not load and a generated scenario the
+    simulator rejects are all validation failures."""
     try:
-        config = _load_config(manifest)
-        return config, _load_scenario(manifest, config)
-    except (ConfigError, ValueError, OSError) as exc:
+        config = _config(
+            NetworkConfig.from_json(Path(args.config).read_text()),
+            args.total_prbs, args.horizon)
+        if args.scenario:
+            scenario = ScenarioTrace.from_json(Path(args.scenario).read_text())
+            scenario.check_dimensions(config)
+            return config, scenario
+        if args.seed is None:
+            raise ConfigError("either --scenario or --seed is required")
+        if args.scenario_spec:
+            spec = ScenarioSpec.from_json(Path(args.scenario_spec).read_text())
+        else:
+            spec = config_scenario_spec(args.config, config)
+        return config, spec.generate(config, args.seed)
+    except (ValueError, OSError, SimulationError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return None
 
@@ -209,14 +189,14 @@ def _exit_code(outcome: RunOutcome) -> int:
     return code
 
 
-def cmd_run(manifest: RunManifest) -> int:
-    out_dir = Path(manifest.out_dir)
-    inputs = _load_inputs(manifest)
+def cmd_run(args: argparse.Namespace) -> int:
+    inputs = _inputs(args)
     if inputs is None:
         return EXIT_VALIDATION
     config, scenario = inputs
-    outcome = run_pipeline(config, scenario, manifest.mode,
-                           manifest.solver_cmd, manifest.timeout)
+    outcome = run_pipeline(config, scenario, args.mode, args.solver_cmd,
+                           args.timeout)
+    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "config.json").write_text(config.to_json())
     for name, stage, render in ARTIFACTS:
@@ -236,15 +216,16 @@ SWEEP_COLUMNS = (
 )
 
 
-def _sweep_cell(manifest: RunManifest) -> dict:
+def _sweep_cell(args: argparse.Namespace, cell: tuple) -> dict:
+    """The CSV row of one (config, budget, seed) cell: the config and spec
+    arrive loaded, so a cell reads no file."""
+    name, config, spec, seed = cell
     row = {c: "" for c in SWEEP_COLUMNS}
-    row.update({"config": Path(manifest.config_path).stem,
-                "total_prbs": manifest.total_prbs, "seed": manifest.seed})
+    row.update({"config": name, "total_prbs": config.total_prbs,
+                "seed": seed})
     try:
-        config = _load_config(manifest)
-        outcome = run_pipeline(config, _load_scenario(manifest, config),
-                               manifest.mode, manifest.solver_cmd,
-                               manifest.timeout)
+        outcome = run_pipeline(config, spec.generate(config, seed),
+                               args.mode, args.solver_cmd, args.timeout)
     except Exception as exc:  # partial failures stay in the table
         row["status"] = f"error: {exc}"
         return row
@@ -264,43 +245,38 @@ def _sweep_cell(manifest: RunManifest) -> dict:
     return row
 
 
-def cmd_sweep(config_paths: Sequence[str], prb_values: Sequence[int],
-              seeds: Sequence[int], mode: str, out_path: str,
-              solver_cmd: Optional[str], timeout: float, jobs: int,
-              horizon: Optional[int] = None) -> int:
+def cmd_sweep(args: argparse.Namespace) -> int:
+    # each config file and its spec are read once, before any cell runs:
+    # one that cannot be read, parsed or validated fails the sweep; a
+    # (config, total_prbs) pair over budget is a note
     cells = []
     skipped_notes = []
-    for path in config_paths:
-        # a config that cannot be read, parsed or validated fails the sweep
-        # before any cell runs; a (config, total_prbs) pair over budget is
-        # a note
-        try:
+    try:
+        for path in args.configs:
+            name = Path(path).stem
             parsed = NetworkConfig.from_json(Path(path).read_text())
-        except (ConfigError, ValueError, OSError) as exc:
-            print(f"validation error: {exc}", file=sys.stderr)
-            return EXIT_VALIDATION
-        for prbs in prb_values:
-            manifest = RunManifest(config_path=path, mode=mode,
-                                   solver_cmd=solver_cmd, timeout=timeout,
-                                   total_prbs=prbs, horizon=horizon)
-            try:
-                _load_config(manifest, parsed)
-            except BudgetError as exc:
-                skipped_notes.append(
-                    f"skipping {Path(path).stem} at {prbs} PRBs: {exc}")
-                continue
-            except (ConfigError, ValueError) as exc:
-                print(f"validation error: {exc}", file=sys.stderr)
-                return EXIT_VALIDATION
-            cells.extend(replace(manifest, seed=seed) for seed in seeds)
+            spec = config_scenario_spec(path, parsed)
+            for prbs in args.prbs:
+                try:
+                    config = _config(parsed, prbs, args.horizon)
+                except BudgetError as exc:
+                    skipped_notes.append(
+                        f"skipping {name} at {prbs} PRBs: {exc}")
+                    continue
+                cells.extend((name, config, spec, seed)
+                             for seed in range(1, args.seeds + 1))
+    except (ValueError, OSError) as exc:
+        print(f"validation error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
 
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_sweep_cell, cells))
+    run_cell = partial(_sweep_cell, args)
+    if args.jobs > 1:
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            rows = list(pool.map(run_cell, cells))
     else:
-        rows = [_sweep_cell(cell) for cell in cells]
+        rows = [run_cell(cell) for cell in cells]
 
-    out = Path(out_path)
+    out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     with out.open("w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=SWEEP_COLUMNS)
@@ -317,16 +293,17 @@ def cmd_sweep(config_paths: Sequence[str], prb_values: Sequence[int],
     return EXIT_OK
 
 
-def cmd_compare(manifest: RunManifest,
-                baseline_fraction: Optional[float], out_path: str) -> int:
-    inputs = _load_inputs(manifest)
+def cmd_compare(args: argparse.Namespace) -> int:
+    inputs = _inputs(args)
     if inputs is None:
         return EXIT_VALIDATION
     config, scenario = inputs
-    outcome = run_pipeline(config, scenario, "oracle", None, manifest.timeout)
+    # oracle mode runs no solver, so the solver options are unused
+    outcome = run_pipeline(config, scenario, "oracle", None, 0.0)
     if outcome.status != "ok":
         return _exit_code(outcome)
     metrics = outcome.metrics
+    baseline_fraction = args.baseline_fraction
     if baseline_fraction is None:
         baseline_fraction = max(metrics.premium_share_pct) / 100.0
     try:
@@ -336,7 +313,7 @@ def cmd_compare(manifest: RunManifest,
         return EXIT_VALIDATION
     base_metrics = compute_metrics(base, config)
 
-    out = Path(out_path)
+    out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     with out.open("w", newline="") as fh:
         writer = csv.writer(fh)
@@ -350,14 +327,40 @@ def cmd_compare(manifest: RunManifest,
     return EXIT_OK
 
 
+def cmd_gen_scenario(args: argparse.Namespace) -> int:
+    inputs = _inputs(args)
+    if inputs is None:
+        return EXIT_VALIDATION
+    _, scenario = inputs
+    out = Path(args.out)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_text(scenario.to_json())
+    print(f"wrote {out}")
+    return EXIT_OK
+
+
+def cmd_validate_config(args: argparse.Namespace) -> int:
+    try:
+        NetworkConfig.from_json(Path(args.config).read_text()).validate()
+    except (ValueError, OSError) as exc:
+        print(f"invalid: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    print("ok")
+    return EXIT_OK
+
+
 def _add_common(p: argparse.ArgumentParser, pinned: bool,
                 solver: bool) -> None:
-    """Add ``--scenario`` only when ``pinned``, solver options only when
-    ``solver``: a subcommand takes only the options it reads."""
+    """Add ``--scenario`` only when ``pinned`` (``--seed`` is required
+    otherwise), solver options only when ``solver``: a subcommand takes
+    only the options it reads."""
     p.add_argument("--config", required=True, help="config JSON path")
     if pinned:
         p.add_argument("--scenario", help="pinned scenario JSON path")
-    p.add_argument("--seed", type=int, help="scenario generation seed")
+    else:
+        p.set_defaults(scenario=None)
+    p.add_argument("--seed", type=int, required=not pinned,
+                   help="scenario generation seed")
     p.add_argument("--scenario-spec",
                    help="distribution spec JSON (default: sibling "
                         "<config>.scenario.json, else built-in rates)")
@@ -373,14 +376,6 @@ def _add_common(p: argparse.ArgumentParser, pinned: bool,
     p.add_argument("--horizon", type=int, help="override the horizon")
 
 
-def _manifest(args: argparse.Namespace, **fields) -> RunManifest:
-    """The options ``_add_common`` always adds, plus ``fields``."""
-    return RunManifest(config_path=args.config, seed=args.seed,
-                       scenario_spec_path=args.scenario_spec,
-                       total_prbs=args.total_prbs, horizon=args.horizon,
-                       **fields)
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="prbslice",
@@ -392,6 +387,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p_run.add_argument("--mode", choices=("oracle", "smt", "differential"),
                        default="oracle")
     p_run.add_argument("--out", required=True, help="output directory")
+    p_run.set_defaults(handler=cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="config x budget x seed matrix")
     p_sweep.add_argument("--config", action="append", required=True,
@@ -409,6 +405,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p_sweep.add_argument("--timeout", type=float, default=120.0)
     p_sweep.add_argument("--jobs", type=int, default=1)
     p_sweep.add_argument("--out", required=True, help="output CSV path")
+    p_sweep.set_defaults(handler=cmd_sweep)
 
     p_cmp = sub.add_parser("compare",
                            help="premium share vs static baseline")
@@ -417,62 +414,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                        help="premium fraction of total PRBs the baseline "
                             "pins at j=0 (default: the adaptive run's peak)")
     p_cmp.add_argument("--out", required=True, help="output CSV path")
+    p_cmp.set_defaults(handler=cmd_compare)
 
     # no abbreviations, so a --scenario is not taken for --scenario-spec
     p_gen = sub.add_parser("gen-scenario", help="pin a generated scenario",
                            allow_abbrev=False)
     _add_common(p_gen, pinned=False, solver=False)
     p_gen.add_argument("--out", required=True, help="output JSON path")
+    p_gen.set_defaults(handler=cmd_gen_scenario)
 
     p_val = sub.add_parser("validate-config", help="validate and exit")
     p_val.add_argument("--config", required=True)
+    p_val.set_defaults(handler=cmd_validate_config)
 
     args = parser.parse_args(argv)
-
-    if args.command == "validate-config":
-        try:
-            NetworkConfig.from_json(Path(args.config).read_text()).validate()
-        except (ConfigError, OSError) as exc:
-            print(f"invalid: {exc}", file=sys.stderr)
-            return EXIT_VALIDATION
-        print("ok")
-        return EXIT_OK
-
-    if args.command == "sweep":
-        return cmd_sweep(
-            config_paths=args.configs,
-            prb_values=args.prbs,
-            seeds=range(1, args.seeds + 1),
-            mode=args.mode,
-            out_path=args.out,
-            solver_cmd=args.solver_cmd,
-            timeout=args.timeout,
-            jobs=args.jobs,
-            horizon=args.horizon,
-        )
-
-    if args.command == "run":
-        return cmd_run(_manifest(
-            args, mode=args.mode, out_dir=args.out,
-            scenario_path=args.scenario, solver_cmd=args.solver_cmd,
-            timeout=args.timeout))
-    if args.command == "compare":
-        return cmd_compare(_manifest(args, scenario_path=args.scenario),
-                           args.baseline_fraction, args.out)
-    if args.command == "gen-scenario":
-        if args.seed is None:
-            print("validation error: --seed is required", file=sys.stderr)
-            return EXIT_VALIDATION
-        inputs = _load_inputs(_manifest(args))
-        if inputs is None:
-            return EXIT_VALIDATION
-        _, scenario = inputs
-        out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(scenario.to_json())
-        print(f"wrote {out}")
-        return EXIT_OK
-    raise AssertionError(f"unhandled command {args.command}")
+    return args.handler(args)
 
 
 if __name__ == "__main__":

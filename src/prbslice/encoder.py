@@ -186,7 +186,8 @@ def encode(config: NetworkConfig, scenario: ScenarioTrace) -> ConstraintSet:
             d = f"(- (ite {inc} 1 0) (ite {dec} 1 0))"
             emit("usage-residual",
                  _and(f"(= {v_usg(i, j)} (+ {v_usg(i, j - 1)} {d}))",
-                      f"(= {v_rmid(i, j)} (- {v_resi(i, j - 1)} {d}))"))
+                      f"(= {v_rmid(i, j)} (- (+ {v_resi(i, j - 1)} "
+                      f"{v_usg(i, j - 1)}) {v_usg(i, j)}))"))
 
             top, ramp, rmid = v_top(i, j), v_ramp(i, j), v_rmid(i, j)
             if j % sl.t_win == 0:

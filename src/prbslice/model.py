@@ -368,7 +368,7 @@ class NetworkConfig:
                 timestep_minutes=Fraction(doc.get("timestep_minutes", "1")),
                 name=str(doc.get("name", "")),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, AttributeError, ValueError) as exc:
             raise ConfigError(f"malformed config document: {exc!r}") from exc
         return cfg
 

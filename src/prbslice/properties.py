@@ -315,6 +315,9 @@ def baseline_overprovision(
     """
     config.validate()
     scenario.check_dimensions(config)
+    if not math.isfinite(premium_share_fraction):
+        raise ConfigError(
+            f"premium fraction must be finite, got {premium_share_fraction}")
     frac = Fraction(premium_share_fraction).limit_denominator(10 ** 9)
     premium_ids = config.premium_slice_ids
     caps = [sl.usage_cap for sl in config.slices]

@@ -116,14 +116,18 @@ class ScenarioTrace:
 
     @classmethod
     def from_json(cls, text: str) -> "ScenarioTrace":
-        doc = json.loads(text)
-        return cls(
-            seed=int(doc["seed"]),
-            arrivals=tuple(tuple(bool(f) for f in row)
-                           for row in doc["arrivals"]),
-            departures=tuple(tuple(bool(f) for f in row)
-                             for row in doc["departures"]),
-        )
+        try:
+            doc = json.loads(text)
+            return cls(
+                seed=int(doc["seed"]),
+                arrivals=tuple(tuple(bool(f) for f in row)
+                               for row in doc["arrivals"]),
+                departures=tuple(tuple(bool(f) for f in row)
+                                 for row in doc["departures"]),
+            )
+        except (KeyError, TypeError, AttributeError, ValueError) as exc:
+            raise ScenarioError(
+                f"malformed scenario document: {exc!r}") from exc
 
 
 @dataclass(frozen=True)
@@ -149,12 +153,18 @@ class ScenarioSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "ScenarioSpec":
-        doc = json.loads(text)
-        return cls(
-            per_service={int(mu): DistributionSpec.from_dict(d)
-                         for mu, d in doc["per_service"].items()},
-            departure_rate=float(doc["departure_rate"]),
-        )
+        try:
+            doc = json.loads(text)
+            return cls(
+                per_service={int(mu): DistributionSpec.from_dict(d)
+                             for mu, d in doc["per_service"].items()},
+                departure_rate=float(doc["departure_rate"]),
+            )
+        except ScenarioError:
+            raise
+        except (KeyError, TypeError, AttributeError, ValueError) as exc:
+            raise ScenarioError(
+                f"malformed scenario spec document: {exc!r}") from exc
 
 
 def _derive_seed(master: int, stream: int, index: int) -> int:

@@ -31,6 +31,15 @@ def duplicate_slice_id_config() -> str:
     return json.dumps(doc)
 
 
+def starved_config() -> str:
+    """``config_3_2_4.json`` at 30 PRBs over 60 steps with a 1/50 residual
+    floor: it validates, but with the sibling spec at seed 1 the generated
+    events drive the residual share below zero at timestep 24."""
+    doc = json.loads(Path(C324).read_text())
+    doc.update(total_prbs=30, horizon=60, overuse_fraction="1/50")
+    return json.dumps(doc)
+
+
 def read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
@@ -227,6 +236,66 @@ class TestMissingInput:
         assert not out.exists()
 
 
+class TestMalformedInput:
+    # every input is checked before any output is written; BAD names a
+    # file holding `text`, with a copy of the 3-2-4 spec as its sibling
+    @pytest.mark.parametrize("command, text, options", [
+        pytest.param("validate-config", b"\xff\xfe{", ["--config", "BAD"],
+                     id="non-utf8-config"),
+        pytest.param("validate-config",
+                     b'{"services": [], "slices": [], "partitions": []}',
+                     ["--config", "BAD"], id="partitions-not-a-mapping"),
+        pytest.param("run", b'{"arrivals": []}', ["--scenario", "BAD"],
+                     id="run-scenario-without-seed"),
+        pytest.param("run", b'{"departure_rate": 0.1}',
+                     ["--seed", "1", "--scenario-spec", "BAD"],
+                     id="run-spec-without-per-service"),
+        pytest.param("gen-scenario", b'{"departure_rate": 0.1}',
+                     ["--seed", "1", "--scenario-spec", "BAD"],
+                     id="gen-spec-without-per-service"),
+        pytest.param("compare", b"[1]", ["--scenario", "BAD"],
+                     id="compare-scenario-not-an-object"),
+        pytest.param("run", starved_config().encode(),
+                     ["--seed", "1", "--config", "BAD"],
+                     id="run-generated-scenario-rejected"),
+        pytest.param("gen-scenario", starved_config().encode(),
+                     ["--seed", "1", "--config", "BAD"],
+                     id="gen-generated-scenario-rejected"),
+        pytest.param("compare", b"", ["--seed", "1",
+                                      "--baseline-fraction", "nan"],
+                     id="compare-nan-fraction"),
+        pytest.param("compare", b"", ["--seed", "1",
+                                      "--baseline-fraction", "inf"],
+                     id="compare-inf-fraction"),
+    ])
+    def test_is_a_validation_error(self, tmp_path, capsys, command, text,
+                                   options):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(text)
+        sibling = Path(C324).with_suffix(".scenario.json")
+        (tmp_path / "bad.scenario.json").write_text(sibling.read_text())
+        argv = [command] + [str(bad) if o == "BAD" else o for o in options]
+        if "--config" not in options:
+            argv += ["--config", C324]
+        out = tmp_path / "out"
+        if command != "validate-config":
+            argv += ["--out", str(out)]
+        assert main(argv) == EXIT_VALIDATION
+        prefix = "invalid: " if command == "validate-config" \
+            else "validation error: "
+        assert capsys.readouterr().err.startswith(prefix)
+        assert not out.exists()
+
+    def test_gen_scenario_requires_seed(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["gen-scenario", "--config", C324,
+                  "--out", str(tmp_path / "out")])
+        assert exc.value.code == EXIT_VALIDATION
+        assert "the following arguments are required: --seed" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 class TestSweep:
     @pytest.mark.parametrize("text", [
         '{"bad": 1', '{"bad": 1}',
@@ -244,6 +313,45 @@ class TestSweep:
         assert err.startswith("validation error: ")
         assert "skipping" not in err
         assert not out.exists()
+
+    def test_malformed_sibling_spec_is_a_validation_error(self, tmp_path,
+                                                          capsys):
+        config = tmp_path / "config_3_2_4.json"
+        config.write_text(Path(C324).read_text())
+        (tmp_path / "config_3_2_4.scenario.json").write_text(
+            '{"departure_rate": 0.1}')
+        out = tmp_path / "sweep.csv"
+        code = main(["sweep", "--config", C324, "--config", str(config),
+                     "--total-prbs", "200", "--seeds", "1",
+                     "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith(
+            "validation error: malformed scenario spec document")
+        assert not out.exists()
+
+    def test_each_layout_parsed_once(self, tmp_path, monkeypatch):
+        # 2 configs x 2 budgets x 2 seeds: each config document and its
+        # sibling spec are parsed once, not once per cell
+        from collections import Counter
+
+        from prbslice.model import NetworkConfig
+        from prbslice.scenario import ScenarioSpec
+
+        parsed = Counter()
+        for cls in (NetworkConfig, ScenarioSpec):
+            def counting(text, real=cls.from_json):
+                parsed[text] += 1
+                return real(text)
+            monkeypatch.setattr(cls, "from_json", counting)
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", C324, "--config", C5413,
+                     "--total-prbs", "200", "--total-prbs", "300",
+                     "--seeds", "2", "--jobs", "1",
+                     "--out", str(out)]) == EXIT_OK
+        assert len(read_rows(out)) == 8
+        documents = {Path(p).read_text() for c in (C324, C5413)
+                     for p in (c, Path(c).with_suffix(".scenario.json"))}
+        assert parsed == Counter(documents)
 
     def test_matrix_row_count_skips_infeasible(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -354,8 +462,8 @@ ARTIFACT_SHA256 = {
                  "338736e66e9fb56e2ed83f37d03ca0eb",
     "trace.json": "e89628c6eeeb66fe391c5066c67a9027"
                   "5605881039fe04e818ecbd428654f71f",
-    "model.smt2": "654328084a2fdfa831e5d5b8a92411a5"
-                  "fbd5538c6464f0f36b9048efafb94b61",
+    "model.smt2": "3b7947c153b908bdc227339c8e594e52"
+                  "5081c7f56a7722ac8419fc7af12d92bd",
     "verdict.json": "9056fd9b7c79762c42bc0ec666bb4e12"
                     "173e6fc866668b534fb2c4380cab4779",
     "smt_trace.csv": "0a8ee14c062e85d2452245e0088ed359"

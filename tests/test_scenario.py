@@ -156,3 +156,26 @@ class TestSerialization:
         other = preset_config("3-3-7")
         with pytest.raises(ScenarioError):
             trace.check_dimensions(other)
+
+    @pytest.mark.parametrize("text", [
+        "{", "[1]", '{"arrivals": []}', '{"seed": "x", "arrivals": [],'
+        ' "departures": []}', '{"seed": 1, "arrivals": [1], "departures": []}'])
+    def test_malformed_trace_rejected(self, text):
+        with pytest.raises(ScenarioError, match="malformed scenario document"):
+            ScenarioTrace.from_json(text)
+
+    @pytest.mark.parametrize("text", [
+        "{", "[1]", '{"departure_rate": 0.1}',
+        '{"per_service": [], "departure_rate": 0.1}',
+        '{"per_service": {"1": {"kind": "poisson"}}, "departure_rate": 0.1}',
+        '{"per_service": {}, "departure_rate": "x"}'])
+    def test_malformed_spec_rejected(self, text):
+        with pytest.raises(ScenarioError,
+                           match="malformed scenario spec document"):
+            ScenarioSpec.from_json(text)
+
+    def test_spec_parameter_rule_kept(self):
+        text = ('{"per_service": {"1": {"kind": "poisson", "params": '
+                '{"rate": 0}, "threshold": 0.5}}, "departure_rate": 0.1}')
+        with pytest.raises(ScenarioError, match="poisson rate must be > 0"):
+            ScenarioSpec.from_json(text)
