@@ -18,8 +18,10 @@ input file that is missing or unreadable, a config, scenario or scenario
 spec document that does not load, or a scenario the simulator rejects,
 pinned or generated; an input that does not load writes no output.
 ``sweep`` reads each config file and its sibling spec once, before any
-cell runs, and exits 2 with no CSV if one does not load; (config, budget)
-pairs over budget are skipped with a note.  Otherwise it writes its CSV in
+cell runs, and exits 2 with no CSV if one does not load or the spec lacks
+one of the config's services; (config, budget) pairs over budget are
+skipped with a note.  A ``--seeds`` or ``--timeout`` that is not a finite
+number above 0 is a usage error.  Otherwise it writes its CSV in
 full, then exits 4 if any cell is ``solver:*`` or ``error:*``, else 3 if
 any cell is ``property:*``.
 """
@@ -29,6 +31,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -44,7 +47,7 @@ from .properties import (
     MetricsBundle, PropertyReport, baseline_overprovision, check_all,
     compute_metrics,
 )
-from .scenario import ScenarioSpec, ScenarioTrace
+from .scenario import ScenarioSpec, ScenarioTrace, check_coverage
 from .solver import (
     DecodeError, SolverOutputError, SolverProcessError, SolverVerdict,
     extract_trace, solve,
@@ -256,6 +259,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             name = Path(path).stem
             parsed = NetworkConfig.from_json(Path(path).read_text())
             spec = config_scenario_spec(path, parsed)
+            check_coverage(parsed, spec.per_service)
             for prbs in args.prbs:
                 try:
                     config = _config(parsed, prbs, args.horizon)
@@ -349,6 +353,19 @@ def cmd_validate_config(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _positive(convert):
+    """An argparse type: the text through ``convert``, which must give a
+    finite number above 0."""
+    def positive(text: str):
+        value = convert(text)
+        if not (value > 0 and math.isfinite(value)):
+            raise argparse.ArgumentTypeError(
+                f"must be a finite number above 0, got {text!r}")
+        return value
+    positive.__name__ = convert.__name__
+    return positive
+
+
 def _add_common(p: argparse.ArgumentParser, pinned: bool,
                 solver: bool) -> None:
     """Add ``--scenario`` only when ``pinned`` (``--seed`` is required
@@ -370,7 +387,7 @@ def _add_common(p: argparse.ArgumentParser, pinned: bool,
                             "a temp file path, otherwise the script arrives "
                             "on stdin (env PRBSLICE_SOLVER_CMD, then the "
                             "bundled solver, when omitted)")
-        p.add_argument("--timeout", type=float, default=120.0,
+        p.add_argument("--timeout", type=_positive(float), default=120.0,
                        help="solver timeout in seconds")
     p.add_argument("--total-prbs", type=int, help="override the PRB budget")
     p.add_argument("--horizon", type=int, help="override the horizon")
@@ -395,14 +412,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p_sweep.add_argument("--total-prbs", action="append", type=int,
                          required=True, dest="prbs",
                          help="PRB budget (repeatable)")
-    p_sweep.add_argument("--seeds", type=int, default=30,
+    p_sweep.add_argument("--seeds", type=_positive(int), default=30,
                          help="number of seeds, 1..N")
     p_sweep.add_argument("--mode", choices=("oracle", "smt"),
                          default="oracle")
     p_sweep.add_argument("--solver-cmd")
     p_sweep.add_argument("--horizon", type=int,
                          help="override the horizon for every cell")
-    p_sweep.add_argument("--timeout", type=float, default=120.0)
+    p_sweep.add_argument("--timeout", type=_positive(float), default=120.0)
     p_sweep.add_argument("--jobs", type=int, default=1)
     p_sweep.add_argument("--out", required=True, help="output CSV path")
     p_sweep.set_defaults(handler=cmd_sweep)

@@ -198,6 +198,15 @@ def gen_arrivals(spec: DistributionSpec, seed: int, horizon: int) -> list[bool]:
     return [bool(f) for f in flags]
 
 
+def check_coverage(config: NetworkConfig,
+                   per_service: Mapping[int, DistributionSpec]) -> None:
+    """Raise unless every service of ``config`` has a distribution."""
+    missing = [s.service_id for s in config.services
+               if s.service_id not in per_service]
+    if missing:
+        raise ScenarioError(f"no distribution spec for services {missing}")
+
+
 def gen_scenario(
     config: NetworkConfig,
     per_service: Mapping[int, DistributionSpec],
@@ -213,10 +222,7 @@ def gen_scenario(
     """
     from .oracle import ForwardSimulator  # local import, avoids module cycle
 
-    missing = [s.service_id for s in config.services
-               if s.service_id not in per_service]
-    if missing:
-        raise ScenarioError(f"no distribution spec for services {missing}")
+    check_coverage(config, per_service)
     if not 0 <= departure_rate <= 1:
         raise ScenarioError("departure_rate must lie in [0, 1]")
 

@@ -6,6 +6,11 @@ reads a script on stdin (or from a file argument), answers ``sat`` /
 ``unsat`` / ``unknown`` to ``(check-sat)``, and prints a model of
 ``(define-fun name () Sort value)`` entries for ``(get-model)``.  It knows
 nothing about the rest of this package; it only interprets the script text.
+Stdin is read as it arrives: each read, up to its last line end, is run as
+one batch of forms and the output flushed, so one process can answer many
+scripts, each after a ``(reset)``; it ends at EOF or ``(exit)``.  A form
+left open at a line end waits for the next read.  A file argument is read
+whole and parsed before any command runs.
 
 The engine is constraint propagation on one assignment plus depth-first
 splitting on boolean variables when propagation stalls; underdetermined
@@ -32,7 +37,7 @@ variables chosen) and ``:conflicts`` (branches closed by a conflict).
 
 Supported commands: set-logic, set-info, set-option, declare-const,
 declare-fun (zero arity), assert, check-sat, get-model, get-info, echo,
-exit.  Supported theory symbols: true false not and or => xor ite =
+reset, exit.  Supported theory symbols: true false not and or => xor ite =
 distinct + - * div mod abs < <= > >=; a comparison may chain, as in
 ``(< a b c)``.
 """
@@ -78,28 +83,52 @@ def _atom(tok: str):
     return tok
 
 
+class Reader:
+    """The top-level forms of a text that arrives in pieces.  ``feed``
+    takes the tokens of the next piece and returns the forms it completes;
+    a form still open waits for the next piece, and ``close`` rejects one
+    left open at the end."""
+
+    def __init__(self):
+        self.forms: list = []       # top-level forms not yet returned
+        self.stack: list = []       # the lists enclosing the one filled
+        self.top = self.forms       # the list being filled
+        self.atoms: dict = {}       # token text -> value, one _atom call each
+
+    def feed(self, tokens: list) -> list:
+        forms, top, stack, atoms = self.forms, self.top, self.stack, self.atoms
+        for tok in tokens:
+            if tok == "(":
+                sub: list = []
+                top.append(sub)
+                stack.append(top)
+                top = sub
+            elif tok == ")":
+                if not stack:
+                    raise SmtError("unbalanced ')'")
+                top = stack.pop()
+            else:
+                node = atoms.get(tok, atoms)
+                if node is atoms:
+                    node = atoms[tok] = _atom(tok)
+                top.append(node)
+        self.top = top
+        if stack:                   # the last form is still open
+            done = forms[:-1]
+            del forms[:-1]
+            return done
+        self.forms = self.top = []
+        return forms
+
+    def close(self) -> None:
+        if self.stack:
+            raise SmtError("unbalanced '('")
+
+
 def parse(tokens: list) -> list:
-    forms = []
-    top = forms                 # the list being filled
-    stack: list[list] = []      # its enclosing lists
-    atoms: dict = {}            # token text -> value, one _atom call each
-    for tok in tokens:
-        if tok == "(":
-            sub: list = []
-            top.append(sub)
-            stack.append(top)
-            top = sub
-        elif tok == ")":
-            if not stack:
-                raise SmtError("unbalanced ')'")
-            top = stack.pop()
-        else:
-            node = atoms.get(tok, atoms)
-            if node is atoms:
-                node = atoms[tok] = _atom(tok)
-            top.append(node)
-    if stack:
-        raise SmtError("unbalanced '('")
+    reader = Reader()
+    forms = reader.feed(tokens)
+    reader.close()
     return forms
 
 
@@ -464,12 +493,19 @@ def _fmt_value(v) -> str:
 class Interpreter:
     def __init__(self, out):
         self.out = out
+        self.reader = Reader()      # the forms of ``feed``'s pieces
+        self.reset()
+
+    def reset(self) -> None:
+        """Forget every declaration, assertion, result and interned atom,
+        as the ``reset`` command does."""
         self.sorts: dict[str, str] = {}
         self.order: list[str] = []
         self.assertions: list = []
         self.result: str | None = None
         self.model: dict | None = None
         self.stats = dict.fromkeys(STATISTICS, 0)
+        self.reader.atoms.clear()
 
     def declare(self, name: str, sort: str) -> None:
         if name in self.sorts:
@@ -511,8 +547,18 @@ class Interpreter:
         print("(" + "\n ".join(f"{k} {v}" for k, v in self.stats.items())
               + ")", file=self.out)
 
-    def run(self, text: str) -> None:
-        for form in parse(tokenize(text)):
+    def run(self, text: str) -> bool:
+        """Run a whole script, which must parse before any command runs;
+        False if it ended with ``exit``."""
+        return self.execute(parse(tokenize(text)))
+
+    def feed(self, text: str) -> bool:
+        """Run the forms that ``text`` completes, one piece of a script
+        that arrives in pieces cut at line ends; False after ``exit``."""
+        return self.execute(self.reader.feed(tokenize(text)))
+
+    def execute(self, forms: list) -> bool:
+        for form in forms:
             if not isinstance(form, list) or not form:
                 raise SmtError(f"top-level form is not a command: {form!r}")
             cmd = form[0]
@@ -534,10 +580,34 @@ class Interpreter:
                 self.get_model()
             elif cmd == "get-info":
                 self.get_info(form[1])
+            elif cmd == "reset":
+                self.reset()
             elif cmd == "exit":
-                return
+                return False
             else:
                 raise SmtError(f"unsupported command {cmd!r}")
+        return True
+
+
+def _serve(interp: Interpreter, stream) -> None:
+    """Run a script read from a binary stream as it arrives: each read, up
+    to its last line end, is one batch of forms, and the output is flushed
+    after each batch.  Ends at EOF or ``exit``."""
+    rest: list[bytes] = []      # read since the last line end
+    while chunk := stream.read1(1 << 16):
+        cut = chunk.rfind(b"\n") + 1
+        if not cut:
+            rest.append(chunk)
+            continue
+        # a line end falls inside no UTF-8 sequence, token or comment
+        rest.append(chunk[:cut])
+        text = b"".join(rest).decode("utf-8")
+        rest = [chunk[cut:]]
+        if not interp.feed(text):
+            return
+        interp.out.flush()
+    if interp.feed(b"".join(rest).decode("utf-8")):
+        interp.reader.close()
 
 
 def main(argv=None) -> int:
@@ -545,13 +615,13 @@ def main(argv=None) -> int:
     # would only rescan it
     gc.disable()
     argv = sys.argv[1:] if argv is None else list(argv)
-    if argv:
-        with open(argv[0], "r", encoding="utf-8") as fh:
-            text = fh.read()
-    else:
-        text = sys.stdin.read()
+    interp = Interpreter(sys.stdout)
     try:
-        Interpreter(sys.stdout).run(text)
+        if argv:
+            with open(argv[0], "r", encoding="utf-8") as fh:
+                interp.run(fh.read())
+        else:
+            _serve(interp, sys.stdin.buffer)
     except SmtError as exc:
         print(f'(error "{exc}")')
         return 3

@@ -10,15 +10,29 @@ bundled solver is launched as a plain file, ``python -S
 the child loads no package module and needs neither ``site`` nor the
 package on ``PYTHONPATH``.  Any SMT-LIB-conformant solver can be dropped in;
 z3's and cvc5's default model output both parse.
+
+Each process keeps one child of the bundled solver, keyed on its pid and
+command line, and sends it ``(reset)``, the script and an ``echo`` whose
+line ends the reply.  A timeout kills and reaps the child, and a child
+that exits is reaped; either way the next solve launches a new one.  A
+forked process starts its own child and leaves the inherited one to its
+parent.  An ``atexit`` hook closes the child's stdin and waits a moment
+before killing it.  Any other command is launched for each solve: the
+script is written and stdin closed, and the reply is read to EOF.  Both
+kinds go through one round trip with one deadline over the write and the
+read.
 """
 
 from __future__ import annotations
 
+import atexit
 import os
+import selectors
 import shlex
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
@@ -99,45 +113,198 @@ def _parse_model(text: str) -> dict[str, object]:
     return model
 
 
-def solve(
-    script: str,
-    timeout: float = 120.0,
-    command: str | Sequence[str] | None = None,
-) -> SolverVerdict:
-    """Run the solver on the script and return its verdict."""
-    argv = resolve_solver_command(command)
+# The bundled solver's child answers each script after a (reset); the line
+# it echoes after the script ends its reply.
+_RESET = "(reset)\n"
+_DONE = "prbslice-solve-done"
+_ECHO_DONE = f'\n(echo "{_DONE}")\n'
+_DONE_LINE = f"{_DONE}\n".encode()
+_PIECE = 1 << 16                # characters encoded per write, bytes per read
+_EXIT_GRACE_S = 1.0             # wait for an idle child to exit at EOF
+
+
+def _launch(argv: list[str]) -> subprocess.Popen:
+    try:
+        proc = subprocess.Popen(argv, stdin=subprocess.PIPE,
+                                stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE)
+    except OSError as exc:
+        raise SolverProcessError(
+            f"could not run solver {argv!r}: {exc}") from exc
+    os.set_blocking(proc.stdin.fileno(), False)
+    return proc
+
+
+def _stop(proc: subprocess.Popen, deadline: float) -> None:
+    """Close this side of the child's pipes and reap it, killing it if it
+    is still running at ``deadline``."""
+    for stream in (proc.stdin, proc.stdout, proc.stderr):
+        stream.close()
+    try:
+        proc.wait(timeout=max(0.0, deadline - time.monotonic()))
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        proc.wait()
+
+
+def _exchange(proc: subprocess.Popen, texts: Sequence[str], deadline: float,
+              until_done: bool) -> Optional[tuple[str, str, bool]]:
+    """One round trip with a child: write ``texts`` to its stdin, encoded
+    a piece at a time, while reading its stdout and stderr.  With
+    ``until_done`` stdin stays open and reading stops at the ``_DONE``
+    line, which is cut off; without it stdin is closed after the last
+    text.  Reading always stops at EOF on both outputs.  Returns (stdout,
+    stderr, whether the ``_DONE`` line came), or None if ``deadline``
+    passes first."""
+    pieces = (text[at:at + _PIECE].encode() for text in texts
+              for at in range(0, len(text), _PIECE))
+    pending = memoryview(b"")
+    out, err = bytearray(), bytearray()
+    stdin = proc.stdin.fileno()
+    sinks = {proc.stdout.fileno(): out, proc.stderr.fileno(): err}
+    with selectors.DefaultSelector() as sel:
+        sel.register(stdin, selectors.EVENT_WRITE)
+        for fd in sinks:
+            sel.register(fd, selectors.EVENT_READ)
+        while sinks:                # the outputs not yet at EOF
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                return None
+            for key, _ in sel.select(remaining):
+                if key.fd != stdin:
+                    data = os.read(key.fd, _PIECE)
+                    if not data:
+                        sel.unregister(key.fd)
+                        del sinks[key.fd]
+                        continue
+                    sinks[key.fd] += data
+                    if until_done and (out == _DONE_LINE or out.endswith(
+                            b"\n" + _DONE_LINE)):
+                        del out[-len(_DONE_LINE):]
+                        return (out.decode(errors="replace"),
+                                err.decode(errors="replace"), True)
+                    continue
+                if not pending:
+                    pending = memoryview(next(pieces, b""))
+                try:
+                    if pending:
+                        pending = pending[os.write(stdin, pending):]
+                        continue
+                except BlockingIOError:
+                    continue
+                except BrokenPipeError:
+                    pass                # the child has stopped reading
+                sel.unregister(stdin)
+                if not until_done:
+                    proc.stdin.close()
+    return out.decode(errors="replace"), err.decode(errors="replace"), False
+
+
+class _Session:
+    """The bundled solver's child that one process keeps between solves,
+    keyed on that process and the command line."""
+
+    def __init__(self, argv: list[str]):
+        self.key = (os.getpid(), tuple(argv))
+        self.proc = _launch(argv)
+
+
+_session: Optional[_Session] = None
+_session_lock = threading.Lock()    # threads take turns with the one child
+
+
+def _drop_session(deadline: float) -> None:
+    """Stop this process's warm child, by ``deadline``.  A session
+    inherited across a fork is the parent's: it is only forgotten, which
+    closes this process's copies of its pipes and leaves the parent's."""
+    global _session
+    session, _session = _session, None
+    if session is not None and session.key[0] == os.getpid():
+        _stop(session.proc, deadline)
+
+
+@atexit.register
+def _close_session() -> None:
+    _drop_session(time.monotonic() + _EXIT_GRACE_S)
+
+
+def _ask_session(argv: list[str], script: str, deadline: float):
+    """Send the script to the warm child, launching it first if this
+    process has none for ``argv`` or its child has exited.  A child that
+    timed out, exited or raised is dropped, so the next solve launches a
+    new one.  Returns (stdout, stderr, exit status or None), or None at
+    the deadline."""
+    global _session
+    if _session is not None and (
+            _session.key != (os.getpid(), tuple(argv))
+            or _session.proc.poll() is not None):
+        _close_session()
+    if _session is None:
+        _session = _Session(argv)
+    proc, reply = _session.proc, None
+    try:
+        reply = _exchange(proc, (_RESET, script, _ECHO_DONE), deadline,
+                          until_done=True)
+    finally:
+        if reply is None or not reply[2]:
+            _drop_session(0.0 if reply is None else deadline)
+    if reply is None:
+        return None
+    return reply[0], reply[1], proc.returncode
+
+
+def _run_once(argv: list[str], script: str, deadline: float):
+    """Launch the command for this script alone: the script goes on stdin,
+    or into a temp file that replaces ``{script}`` in the command.  Returns
+    as ``_ask_session`` does."""
+    texts = [script]
     tmp_path = None
-    stdin_text = script
     if any("{script}" in a for a in argv):
         fd, tmp_path = tempfile.mkstemp(suffix=".smt2", text=True)
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(script)
         argv = [a.replace("{script}", tmp_path) for a in argv]
-        stdin_text = ""
-    started = time.monotonic()
+        texts = []
     try:
-        proc = subprocess.run(
-            argv,
-            input=stdin_text,
-            capture_output=True,
-            text=True,
-            timeout=timeout,
-        )
-    except subprocess.TimeoutExpired:
-        return SolverVerdict(status="timeout", model=None,
-                             wall_time=time.monotonic() - started)
-    except OSError as exc:
-        raise SolverProcessError(f"could not run solver {argv!r}: {exc}") from exc
+        proc, reply = _launch(argv), None
+        try:
+            reply = _exchange(proc, texts, deadline, until_done=False)
+        finally:
+            _stop(proc, 0.0 if reply is None else deadline)
     finally:
         if tmp_path is not None:
             try:
                 os.unlink(tmp_path)
             except OSError:
                 pass
+    if reply is None:
+        return None
+    return reply[0], reply[1], proc.returncode
+
+
+def solve(
+    script: str,
+    timeout: float = 120.0,
+    command: str | Sequence[str] | None = None,
+) -> SolverVerdict:
+    """Run the solver on the script and return its verdict.  The bundled
+    default command answers in this process's warm child; any other
+    command is launched for this script alone."""
+    argv = resolve_solver_command(command)
+    started = time.monotonic()
+    deadline = started + timeout
+    if argv == default_solver_command():
+        with _session_lock:
+            reply = _ask_session(argv, script, deadline)
+    else:
+        reply = _run_once(argv, script, deadline)
     elapsed = time.monotonic() - started
+    if reply is None:
+        return SolverVerdict(status="timeout", model=None, wall_time=elapsed)
+    stdout, stderr, returncode = reply
 
     status = None
-    lines = proc.stdout.splitlines()
+    lines = stdout.splitlines()
     for at, line in enumerate(lines):
         line = line.strip()
         if line in ("sat", "unsat", "unknown"):
@@ -147,8 +314,8 @@ def solve(
             raise SolverProcessError(f"solver reported an error: {line}")
     if status is None:
         raise SolverProcessError(
-            f"solver produced no verdict (exit {proc.returncode}); "
-            f"stdout={proc.stdout[:500]!r} stderr={proc.stderr[:500]!r}"
+            f"solver produced no verdict (exit {returncode}); "
+            f"stdout={stdout[:500]!r} stderr={stderr[:500]!r}"
         )
     if status != "sat":
         return SolverVerdict(status=status, model=None, wall_time=elapsed)

@@ -329,6 +329,45 @@ class TestSweep:
             "validation error: malformed scenario spec document")
         assert not out.exists()
 
+    def test_spec_missing_a_service_is_a_validation_error(self, tmp_path,
+                                                          capsys):
+        config = tmp_path / "config_3_2_4.json"
+        config.write_text(Path(C324).read_text())
+        spec = json.loads(Path(C324).with_suffix(".scenario.json").read_text())
+        spec["per_service"] = {"1": spec["per_service"]["1"]}
+        (tmp_path / "config_3_2_4.scenario.json").write_text(json.dumps(spec))
+        out = tmp_path / "sweep.csv"
+        code = main(["sweep", "--config", str(config),
+                     "--total-prbs", "200", "--seeds", "2",
+                     "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            "validation error: no distribution spec for services [2, 3]\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, option, value", [
+        ("sweep", "--seeds", "0"),
+        ("sweep", "--seeds", "-2"),
+        ("sweep", "--timeout", "0"),
+        ("sweep", "--timeout", "-1"),
+        ("sweep", "--timeout", "nan"),
+        ("sweep", "--timeout", "inf"),
+        ("run", "--timeout", "-1"),
+    ])
+    def test_non_positive_count_or_timeout_is_a_usage_error(
+            self, tmp_path, capsys, command, option, value):
+        out = tmp_path / "out"
+        argv = [command, "--config", C324, "--mode", "smt", "--out", str(out),
+                option, value]
+        argv += (["--total-prbs", "200"] if command == "sweep"
+                 else ["--seed", "1"])
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert (f"argument {option}: must be a finite number above 0, "
+                f"got {value!r}") in capsys.readouterr().err
+        assert not out.exists()
+
     def test_each_layout_parsed_once(self, tmp_path, monkeypatch):
         # 2 configs x 2 budgets x 2 seeds: each config document and its
         # sibling spec are parsed once, not once per cell

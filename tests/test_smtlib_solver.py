@@ -1,9 +1,11 @@
+import gc
 import hashlib
 import io
 import itertools
 import operator
 import random
 import re
+import selectors
 import subprocess
 import sys
 
@@ -828,6 +830,59 @@ class TestMainEntry:
             input="(check-sat)\n", capture_output=True, text=True)
         assert proc.stdout.strip() == "sat"
         assert proc.stderr == ""
+
+    def test_each_batch_is_answered_before_eof(self):
+        # the reply to a complete line arrives while stdin is still open
+        with subprocess.Popen(default_solver_command(), stdin=subprocess.PIPE,
+                              stdout=subprocess.PIPE) as proc:
+            proc.stdin.write(b"(check-sat)\n")
+            proc.stdin.flush()
+            with selectors.DefaultSelector() as sel:
+                sel.register(proc.stdout, selectors.EVENT_READ)
+                assert sel.select(timeout=30), "no reply before EOF"
+            assert proc.stdout.readline() == b"sat\n"
+            proc.stdin.close()
+            assert proc.wait(timeout=30) == 0
+
+    def test_reset_forgets_declarations(self):
+        script = ("(declare-const x Int)(assert (= x 1))(check-sat)"
+                  "(get-model)(reset)(declare-const x Bool)(assert x)"
+                  "(check-sat)(get-model)(get-info :all-statistics)")
+        proc = subprocess.run(default_solver_command(), input=script,
+                              capture_output=True, text=True, timeout=30)
+        assert proc.returncode == 0, proc.stdout
+        assert proc.stdout == run_script(script) == (
+            "sat\n(\n  (define-fun x () Int 1)\n)\n"
+            "sat\n(\n  (define-fun x () Bool true)\n)\n"
+            "(:propagations 1\n :splits 0\n :conflicts 0)\n")
+
+    def test_stdin_runs_the_forms_before_a_syntax_error(self, tmp_path):
+        # stdin is run as it arrives; a file is parsed whole first
+        script = "(check-sat)\n(assert (= 1"
+        proc = subprocess.run(default_solver_command(), input=script,
+                              capture_output=True, text=True, timeout=30)
+        assert (proc.returncode, proc.stdout) == (
+            3, "sat\n(error \"unbalanced '('\")\n")
+        path = tmp_path / "open.smt2"
+        path.write_text(script)
+        proc = subprocess.run(default_solver_command() + [str(path)],
+                              capture_output=True, text=True, timeout=30)
+        assert (proc.returncode, proc.stdout) == (
+            3, "(error \"unbalanced '('\")\n")
+
+    def test_run_leaves_no_reference_cycle(self):
+        # the long-lived child runs with the collector off, so a cycle
+        # left by one script would stay until the child exits
+        config = preset_config("5-4-13", total_prbs=200, horizon=70)
+        scenario = preset_scenario_spec("5-4-13").generate(config, 1)
+        script = emit_smtlib(encode(config, scenario))
+        gc.collect()
+        gc.disable()
+        try:
+            Interpreter(io.StringIO()).run(script)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_file_argument(self, tmp_path):
         path = tmp_path / "probe.smt2"

@@ -1,15 +1,21 @@
+import os
+import signal
+import subprocess
 import sys
 
 import pytest
 
+from prbslice import solver
 from prbslice.encoder import encode, emit_smtlib
 from prbslice.oracle import diff_traces, simulate
+from prbslice.presets import preset_config, preset_scenario_spec
 from prbslice.scenario import ScenarioTrace
 from prbslice.solver import (
     DecodeError,
     SolverOutputError,
     SolverProcessError,
     SolverVerdict,
+    default_solver_command,
     extract_trace,
     resolve_solver_command,
     solve,
@@ -96,6 +102,99 @@ class TestSolve:
             SolverVerdict(status="unsat", model={}, wall_time=0.1)
         with pytest.raises(ValueError):
             SolverVerdict(status="sat", model=None, wall_time=0.1)
+
+
+# the bundled solver launched for each script: not the default command
+ONE_SHOT = [sys.executable, "-m", "prbslice.smtlib_solver"]
+
+
+def declaring(x: int, b: bool) -> str:
+    """A script declaring the same two symbols whatever the values."""
+    return (f"(declare-const x Int)(declare-const b Bool)(assert (= x {x}))"
+            f"(assert (= b {'true' if b else 'false'}))(check-sat)(get-model)")
+
+
+def deep_horizon_script() -> str:
+    config = preset_config("5-4-13", total_prbs=200, horizon=70)
+    scenario = preset_scenario_spec("5-4-13").generate(config, 1)
+    return emit_smtlib(encode(config, scenario))
+
+
+class TestWarmSession:
+    def test_reset_clears_declarations(self):
+        # the same symbols again would be an error without the reset
+        for x, b in ((4, False), (9, True), (4, False)):
+            warm = solve(declaring(x, b))
+            assert (warm.status, warm.model) == ("sat", {"x": x, "b": b})
+            once = solve(declaring(x, b), command=ONE_SHOT)
+            assert (once.status, once.model) == (warm.status, warm.model)
+
+    def test_one_child_answers_every_solve(self):
+        solve("(check-sat)")
+        pid = solver._session.proc.pid
+        for x in range(3):
+            assert solve(declaring(x, True)).model == {"x": x, "b": True}
+            # another command runs on its own, beside the warm child
+            assert solve("(check-sat)", command=ONE_SHOT).status == "sat"
+        assert solver._session.proc.pid == pid
+
+    def test_timeout_kills_the_child_and_the_next_solve_relaunches(self):
+        script = deep_horizon_script()
+        solve("(check-sat)")
+        proc = solver._session.proc
+        assert solve(script, timeout=0.01).status == "timeout"
+        assert proc.returncode is not None     # killed and reaped
+        assert solver._session is None
+        assert solve(script).status == "sat"
+
+    @pytest.mark.parametrize("script, raises", [
+        ("(assert (< 1))(check-sat)", SolverProcessError),
+        ("(check-sat)(exit)", None),
+    ], ids=["error-exit-3", "exit-command"])
+    def test_child_that_exits_is_replaced(self, script, raises):
+        if raises:
+            with pytest.raises(raises, match="< takes at least 2"):
+                solve(script)
+        else:
+            assert solve(script).status == "sat"
+        assert solver._session is None
+        assert solve(declaring(5, True)).model == {"x": 5, "b": True}
+
+    def test_child_killed_between_solves_is_replaced(self):
+        solve("(check-sat)")
+        proc = solver._session.proc
+        proc.kill()
+        proc.wait()
+        assert solve(declaring(6, True)).model == {"x": 6, "b": True}
+        assert solver._session.proc is not proc
+
+    def test_no_child_outlives_its_parent(self):
+        code = ("from prbslice import solver\n"
+                "assert solver.solve('(check-sat)').status == 'sat'\n"
+                "print(solver._session.proc.pid)\n")
+        proc = subprocess.run([sys.executable, "-c", code], timeout=60,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        with pytest.raises(ProcessLookupError):
+            os.kill(int(proc.stdout), 0)
+
+    def test_forked_process_starts_its_own_child(self):
+        solve("(check-sat)")
+        parent_child = solver._session.proc.pid
+        pid = os.fork()
+        if pid == 0:                            # the forked process
+            signal.alarm(60)                    # bounds the parent's wait
+            ok = False
+            try:
+                ok = (solve(declaring(7, False)).model == {"x": 7, "b": False}
+                      and solver._session.proc.pid != parent_child)
+                solver._close_session()
+            finally:
+                os._exit(0 if ok else 1)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        assert solve(declaring(8, True)).model == {"x": 8, "b": True}
+        assert solver._session.proc.pid == parent_child
 
 
 class TestExtractTrace:
