@@ -47,55 +47,37 @@ def max_window_usage(t_win: int, m: int) -> int:
     return -(-t_win // m)
 
 
-@dataclass(frozen=True)
-class ThroughputParams:
-    """Radio-layer parameters of the peak data-rate formula.
-
-    Defaults are the vendor reference values: 8 MIMO layers, modulation
-    order 64, unit scaling, peak code rate 948/1024, numerology 1, 38 resource
-    blocks in the carrier bandwidth, 14% overhead.  ``derate`` scales the peak
-    to the operating point (80% by default).
-    """
-
-    mimo_layers: int = 8
-    modulation: float = 64
-    scaling: float = 1.0
-    r_max: Fraction = Fraction(948, 1024)
-    numerology: int = 1
-    n_prb_bw: int = 38
-    overhead: float = 0.14
-    derate: float = 0.8
-
-    def __post_init__(self) -> None:
-        if self.mimo_layers < 1 or self.modulation <= 0 or self.scaling <= 0:
-            raise ValueError("structural throughput parameters must be positive")
-        if self.n_prb_bw < 1 or self.numerology < 0:
-            raise ValueError("n_prb_bw must be >= 1 and numerology >= 0")
-        if not 0 <= self.overhead < 1:
-            raise ValueError(f"overhead must lie in [0, 1), got {self.overhead}")
-        if not 0 < self.derate <= 1:
-            raise ValueError(f"derate must lie in (0, 1], got {self.derate}")
+# Radio-layer parameters of the peak data-rate formula, at the vendor
+# reference values; ``DERATE`` scales the peak to the operating point.
+MIMO_LAYERS = 8
+MODULATION_ORDER = 64
+SCALING = 1.0
+R_MAX = 948 / 1024              # peak code rate
+NUMEROLOGY = 1
+N_PRB_BW = 38                   # resource blocks in the carrier bandwidth
+OVERHEAD = 0.14
+DERATE = 0.8
 
 
-def nominal_throughput(params: ThroughputParams, prb_usage: int) -> float:
+def nominal_throughput(prb_usage: int) -> float:
     """Throughput in Mbps offered by ``prb_usage`` PRBs, from first principles.
 
     Evaluates the standard peak-rate formula per PRB worth of usage and scales
-    by ``params.derate``.  The OFDM symbol duration is
-    ``1e-3 / (14 * 2**numerology)`` seconds.
+    by ``DERATE``.  The OFDM symbol duration is
+    ``1e-3 / (14 * 2**NUMEROLOGY)`` seconds.
     """
     if prb_usage < 0:
         raise ValueError("PRB usage must be non-negative")
-    symbol_duration = 1e-3 / (14 * 2 ** params.numerology)
+    symbol_duration = 1e-3 / (14 * 2 ** NUMEROLOGY)
     per_prb = (
-        params.mimo_layers
-        * params.modulation
-        * params.scaling
-        * float(params.r_max)
-        * (params.n_prb_bw * 12 / symbol_duration)
-        * (1 - params.overhead)
+        MIMO_LAYERS
+        * MODULATION_ORDER
+        * SCALING
+        * R_MAX
+        * (N_PRB_BW * 12 / symbol_duration)
+        * (1 - OVERHEAD)
         * 1e-6
-        * params.derate
+        * DERATE
     )
     return per_prb * prb_usage
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .model import ConfigError, NetworkConfig, ThroughputParams, nominal_throughput
+from .model import ConfigError, NetworkConfig, nominal_throughput
 from .oracle import (
     AllocationTrace, SimulationError, SliceState, SystemState, assign_users,
     check_timesteps, conservation, partition_consistency, signal_exclusion,
@@ -255,7 +255,7 @@ def compute_metrics(trace: AllocationTrace,
     states = trace.states
     caps = [sl.usage_cap for sl in config.slices]
     premium = set(config.premium_slice_ids)
-    per_prb = nominal_throughput(ThroughputParams(), 1)
+    per_prb = nominal_throughput(1)
 
     tops = {i: 0 for i in range(1, config.num_slices + 1)}
     ramps = {i: 0 for i in range(1, config.num_slices + 1)}

@@ -390,8 +390,14 @@ class Propagator:
             if term is True:
                 continue
             self.stats[":propagations"] += 1
-            t = simplify(term, env)
-            r = _shape(t)
+            # only a term never visited can be an ``and``, since a residual
+            # one is split at once: split it untouched, and let each
+            # conjunct's own visit simplify it
+            if type(term) is list and term[0] == "and":
+                r = term[1:]
+            else:
+                t = simplify(term, env)
+                r = _shape(t)
             if r is False:
                 status = "unsat"
                 break

@@ -11,16 +11,16 @@ the child loads no package module and needs neither ``site`` nor the
 package on ``PYTHONPATH``.  Any SMT-LIB-conformant solver can be dropped in;
 z3's and cvc5's default model output both parse.
 
-Each process keeps one child of the bundled solver, keyed on its pid and
-command line, and sends it ``(reset)``, the script and an ``echo`` whose
-line ends the reply.  A timeout kills and reaps the child, and a child
-that exits is reaped; either way the next solve launches a new one.  A
-forked process starts its own child and leaves the inherited one to its
-parent.  An ``atexit`` hook closes the child's stdin and waits a moment
-before killing it.  Any other command is launched for each solve: the
-script is written and stdin closed, and the reply is read to EOF.  Both
-kinds go through one round trip with one deadline over the write and the
-read.
+Each process keeps one child of the bundled solver and sends it
+``(reset)``, the script and an ``echo`` whose line ends the reply.  A
+timeout kills and reaps the child, and a child that exits, or that was
+launched for another command line, is reaped; either way the next solve
+launches a new one.  An at-fork hook makes a forked process forget the
+inherited child, which stays its parent's, so the forked process launches
+its own.  An ``atexit`` hook closes the child's stdin and waits a moment
+before killing it.  Any other command is one-shot: it runs through
+``subprocess.run`` with the script on stdin, and a timeout kills and
+reaps it.
 """
 
 from __future__ import annotations
@@ -122,22 +122,27 @@ _DONE_LINE = f"{_DONE}\n".encode()
 _PIECE = 1 << 16                # characters encoded per write, bytes per read
 _EXIT_GRACE_S = 1.0             # wait for an idle child to exit at EOF
 
-
-def _launch(argv: list[str]) -> subprocess.Popen:
-    try:
-        proc = subprocess.Popen(argv, stdin=subprocess.PIPE,
-                                stdout=subprocess.PIPE,
-                                stderr=subprocess.PIPE)
-    except OSError as exc:
-        raise SolverProcessError(
-            f"could not run solver {argv!r}: {exc}") from exc
-    os.set_blocking(proc.stdin.fileno(), False)
-    return proc
+_child: Optional[subprocess.Popen] = None   # this process's warm child
+_child_lock = threading.Lock()              # threads take turns with it
 
 
-def _stop(proc: subprocess.Popen, deadline: float) -> None:
-    """Close this side of the child's pipes and reap it, killing it if it
-    is still running at ``deadline``."""
+def _forget_child() -> None:
+    """In a forked process: the inherited child and lock are the
+    parent's, so start with neither."""
+    global _child, _child_lock
+    _child, _child_lock = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_child)
+
+
+def _drop_child(deadline: float) -> None:
+    """Close the warm child's pipes and reap it, killing it if it is still
+    running at ``deadline``."""
+    global _child
+    proc, _child = _child, None
+    if proc is None:
+        return
     for stream in (proc.stdin, proc.stdout, proc.stderr):
         stream.close()
     try:
@@ -147,13 +152,16 @@ def _stop(proc: subprocess.Popen, deadline: float) -> None:
         proc.wait()
 
 
-def _exchange(proc: subprocess.Popen, texts: Sequence[str], deadline: float,
-              until_done: bool) -> Optional[tuple[str, str, bool]]:
-    """One round trip with a child: write ``texts`` to its stdin, encoded
-    a piece at a time, while reading its stdout and stderr.  With
-    ``until_done`` stdin stays open and reading stops at the ``_DONE``
-    line, which is cut off; without it stdin is closed after the last
-    text.  Reading always stops at EOF on both outputs.  Returns (stdout,
+@atexit.register
+def _close_child() -> None:
+    _drop_child(time.monotonic() + _EXIT_GRACE_S)
+
+
+def _exchange(proc: subprocess.Popen, texts: Sequence[str],
+              deadline: float) -> Optional[tuple[str, str, bool]]:
+    """One round trip with the warm child: write ``texts`` to its stdin,
+    encoded a piece at a time, while reading its stdout and stderr until
+    the ``_DONE`` line, which is cut off, or EOF on both.  Returns (stdout,
     stderr, whether the ``_DONE`` line came), or None if ``deadline``
     passes first."""
     pieces = (text[at:at + _PIECE].encode() for text in texts
@@ -178,8 +186,7 @@ def _exchange(proc: subprocess.Popen, texts: Sequence[str], deadline: float,
                         del sinks[key.fd]
                         continue
                     sinks[key.fd] += data
-                    if until_done and (out == _DONE_LINE or out.endswith(
-                            b"\n" + _DONE_LINE)):
+                    if out == _DONE_LINE or out.endswith(b"\n" + _DONE_LINE):
                         del out[-len(_DONE_LINE):]
                         return (out.decode(errors="replace"),
                                 err.decode(errors="replace"), True)
@@ -195,91 +202,58 @@ def _exchange(proc: subprocess.Popen, texts: Sequence[str], deadline: float,
                 except BrokenPipeError:
                     pass                # the child has stopped reading
                 sel.unregister(stdin)
-                if not until_done:
-                    proc.stdin.close()
     return out.decode(errors="replace"), err.decode(errors="replace"), False
 
 
-class _Session:
-    """The bundled solver's child that one process keeps between solves,
-    keyed on that process and the command line."""
-
-    def __init__(self, argv: list[str]):
-        self.key = (os.getpid(), tuple(argv))
-        self.proc = _launch(argv)
-
-
-_session: Optional[_Session] = None
-_session_lock = threading.Lock()    # threads take turns with the one child
-
-
-def _drop_session(deadline: float) -> None:
-    """Stop this process's warm child, by ``deadline``.  A session
-    inherited across a fork is the parent's: it is only forgotten, which
-    closes this process's copies of its pipes and leaves the parent's."""
-    global _session
-    session, _session = _session, None
-    if session is not None and session.key[0] == os.getpid():
-        _stop(session.proc, deadline)
-
-
-@atexit.register
-def _close_session() -> None:
-    _drop_session(time.monotonic() + _EXIT_GRACE_S)
-
-
-def _ask_session(argv: list[str], script: str, deadline: float):
-    """Send the script to the warm child, launching it first if this
-    process has none for ``argv`` or its child has exited.  A child that
-    timed out, exited or raised is dropped, so the next solve launches a
-    new one.  Returns (stdout, stderr, exit status or None), or None at
-    the deadline."""
-    global _session
-    if _session is not None and (
-            _session.key != (os.getpid(), tuple(argv))
-            or _session.proc.poll() is not None):
-        _close_session()
-    if _session is None:
-        _session = _Session(argv)
-    proc, reply = _session.proc, None
+def _ask_child(argv: list[str], script: str, deadline: float):
+    """Send the script to the warm child, launching it first if there is
+    none for ``argv`` or it has exited.  A child that timed out, exited or
+    raised is dropped, so the next solve launches a new one.  Returns
+    (stdout, stderr, exit status or None), or None at the deadline."""
+    global _child
+    if _child is not None and (_child.args != argv
+                               or _child.poll() is not None):
+        _close_child()
+    if _child is None:
+        try:
+            _child = subprocess.Popen(argv, stdin=subprocess.PIPE,
+                                      stdout=subprocess.PIPE,
+                                      stderr=subprocess.PIPE)
+        except OSError as exc:
+            raise SolverProcessError(
+                f"could not run solver {argv!r}: {exc}") from exc
+        os.set_blocking(_child.stdin.fileno(), False)
+    proc, reply = _child, None
     try:
-        reply = _exchange(proc, (_RESET, script, _ECHO_DONE), deadline,
-                          until_done=True)
+        reply = _exchange(proc, (_RESET, script, _ECHO_DONE), deadline)
     finally:
         if reply is None or not reply[2]:
-            _drop_session(0.0 if reply is None else deadline)
+            _drop_child(0.0 if reply is None else deadline)
     if reply is None:
         return None
     return reply[0], reply[1], proc.returncode
 
 
-def _run_once(argv: list[str], script: str, deadline: float):
-    """Launch the command for this script alone: the script goes on stdin,
-    or into a temp file that replaces ``{script}`` in the command.  Returns
-    as ``_ask_session`` does."""
-    texts = [script]
-    tmp_path = None
-    if any("{script}" in a for a in argv):
-        fd, tmp_path = tempfile.mkstemp(suffix=".smt2", text=True)
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(script)
-        argv = [a.replace("{script}", tmp_path) for a in argv]
-        texts = []
-    try:
-        proc, reply = _launch(argv), None
+def _run_once(argv: list[str], script: str, timeout: float):
+    """Run the command for this script alone: the script goes on stdin, or
+    into a file in a temp directory when ``{script}`` in the command names
+    it.  Returns as ``_ask_child`` does."""
+    with tempfile.TemporaryDirectory() as tmp:
+        if any("{script}" in a for a in argv):
+            path = os.path.join(tmp, "script.smt2")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(script)
+            argv, script = [a.replace("{script}", path) for a in argv], ""
         try:
-            reply = _exchange(proc, texts, deadline, until_done=False)
-        finally:
-            _stop(proc, 0.0 if reply is None else deadline)
-    finally:
-        if tmp_path is not None:
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
-    if reply is None:
-        return None
-    return reply[0], reply[1], proc.returncode
+            done = subprocess.run(argv, input=script, capture_output=True,
+                                  encoding="utf-8", errors="replace",
+                                  timeout=timeout)
+        except subprocess.TimeoutExpired:   # run killed and reaped it
+            return None
+        except OSError as exc:
+            raise SolverProcessError(
+                f"could not run solver {argv!r}: {exc}") from exc
+    return done.stdout, done.stderr, done.returncode
 
 
 def solve(
@@ -292,12 +266,11 @@ def solve(
     command is launched for this script alone."""
     argv = resolve_solver_command(command)
     started = time.monotonic()
-    deadline = started + timeout
     if argv == default_solver_command():
-        with _session_lock:
-            reply = _ask_session(argv, script, deadline)
+        with _child_lock:
+            reply = _ask_child(argv, script, started + timeout)
     else:
-        reply = _run_once(argv, script, deadline)
+        reply = _run_once(argv, script, timeout)
     elapsed = time.monotonic() - started
     if reply is None:
         return SolverVerdict(status="timeout", model=None, wall_time=elapsed)

@@ -15,7 +15,6 @@ from prbslice.cli import run_pipeline
 from prbslice.encoder import BOUND_MULTIPLIER, encode
 from prbslice.model import (
     ConfigError,
-    ThroughputParams,
     constraint_count_bound,
     max_window_usage,
     nominal_throughput,
@@ -88,7 +87,7 @@ def test_criterion_2_sat_and_infeasible_rejection(batch):
 
 
 def test_criterion_3_throughput_constant():
-    coefficient = nominal_throughput(ThroughputParams(), 1)
+    coefficient = nominal_throughput(1)
     assert abs(coefficient - 4163.798) <= 0.001
     print(f"CRITERION 3: PASS - per-PRB coefficient {coefficient:.4f} Mbps "
           "within 0.001 of 4163.798")

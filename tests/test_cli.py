@@ -15,6 +15,7 @@ from prbslice.cli import (
     main,
 )
 from prbslice.scenario import ScenarioTrace
+from prbslice.solver import solve
 
 CONFIGS = Path(__file__).parent.parent / "src" / "prbslice" / "configs"
 C324 = str(CONFIGS / "config_3_2_4.json")
@@ -442,12 +443,19 @@ class TestSweep:
         assert not out.exists()
 
     def test_parallel_jobs_match_serial(self, tmp_path):
-        serial, parallel = tmp_path / "s.csv", tmp_path / "p.csv"
-        args = ["sweep", "--config", C324, "--total-prbs", "200",
-                "--seeds", "3"]
-        assert main(args + ["--out", str(serial)]) == EXIT_OK
-        assert main(args + ["--jobs", "3", "--out", str(parallel)]) == EXIT_OK
-        assert read_rows(serial) == read_rows(parallel)
+        # the pool forks while this process has a warm solver child, which
+        # each worker must leave alone and replace with its own
+        solve("(check-sat)")
+        for mode in ("oracle", "smt"):
+            serial, parallel = tmp_path / "s.csv", tmp_path / "p.csv"
+            args = ["sweep", "--config", C324, "--total-prbs", "200",
+                    "--seeds", "3", "--mode", mode]
+            assert main(args + ["--out", str(serial)]) == EXIT_OK
+            assert main(args + ["--jobs", "3",
+                                "--out", str(parallel)]) == EXIT_OK
+            rows = [[{**row, "solver_wall_time": ""} for row in read_rows(p)]
+                    for p in (serial, parallel)]
+            assert rows[0] == rows[1]
 
     def test_solver_failure_exits_nonzero_with_full_csv(self, tmp_path):
         out = tmp_path / "fail.csv"

@@ -11,7 +11,6 @@ from prbslice.model import (
     NetworkConfig,
     ServiceSpec,
     SliceSpec,
-    ThroughputParams,
     constraint_count_bound,
     max_window_usage,
     nominal_throughput,
@@ -49,51 +48,31 @@ class TestThroughput:
     """Offered Mbps at the default operating point, which metrics report."""
 
     def test_unit_coefficient(self):
-        assert nominal_throughput(ThroughputParams(), 1) == pytest.approx(
-            4163.798, abs=1e-3)
+        assert nominal_throughput(1) == pytest.approx(4163.798, abs=1e-3)
 
     def test_zero(self):
-        assert nominal_throughput(ThroughputParams(), 0) == 0
+        assert nominal_throughput(0) == 0
 
     def test_fourteen_prbs(self):
-        assert nominal_throughput(ThroughputParams(), 14) == pytest.approx(
-            58293.172, abs=0.02)
+        assert nominal_throughput(14) == pytest.approx(58293.172, abs=0.02)
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
-            nominal_throughput(ThroughputParams(), -1)
+            nominal_throughput(-1)
 
     @given(st.integers(min_value=0, max_value=10 ** 6),
            st.integers(min_value=0, max_value=10 ** 6))
     def test_linearity(self, a, b):
-        params = ThroughputParams()
-        assert nominal_throughput(params, a + b) == pytest.approx(
-            nominal_throughput(params, a) + nominal_throughput(params, b),
-            rel=1e-12)
+        assert nominal_throughput(a + b) == pytest.approx(
+            nominal_throughput(a) + nominal_throughput(b), rel=1e-12)
 
 
 class TestNominalThroughput:
     def test_default_coefficient(self):
-        assert nominal_throughput(ThroughputParams(), 1) == pytest.approx(
-            4163.798, abs=1e-3)
+        assert nominal_throughput(1) == pytest.approx(4163.798, abs=1e-3)
 
     def test_zero_usage(self):
-        assert nominal_throughput(ThroughputParams(), 0) == 0
-
-    def test_peak_without_derate(self):
-        params = ThroughputParams(derate=1.0)
-        assert nominal_throughput(params, 1) == pytest.approx(
-            5204.7475, abs=1e-3)
-
-    def test_rejects_bad_overhead(self):
-        with pytest.raises(ValueError):
-            ThroughputParams(overhead=1.0)
-
-    def test_rejects_nonpositive_structure(self):
-        with pytest.raises(ValueError):
-            ThroughputParams(mimo_layers=0)
-        with pytest.raises(ValueError):
-            ThroughputParams(derate=0)
+        assert nominal_throughput(0) == 0
 
 
 class TestConstraintCountBound:

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from prbslice.model import ConfigError, ThroughputParams, nominal_throughput
+from prbslice.model import ConfigError, nominal_throughput
 from prbslice.oracle import AllocationTrace, simulate
 from prbslice.presets import preset_config
 from prbslice.properties import (
@@ -277,7 +277,7 @@ class TestMetrics:
         for idx in range(config.num_slices):
             for j, st in enumerate(trace.states):
                 assert metrics.throughput_offered[idx][j] == pytest.approx(
-                    nominal_throughput(ThroughputParams(), st.slices[idx].usg))
+                    nominal_throughput(st.slices[idx].usg))
 
     def test_blocked_entries_counted(self, saturating_run):
         config, _, trace = saturating_run
@@ -306,7 +306,7 @@ class TestMetrics:
         m_premium = min(sl.m for sl in config.slices
                         if sl.slice_id in config.premium_slice_ids)
         m_normal = max(sl.m for sl in config.slices)
-        per_prb = nominal_throughput(ThroughputParams(), 1)
+        per_prb = nominal_throughput(1)
         assert per_prb / m_premium > per_prb / m_normal
 
 

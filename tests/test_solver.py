@@ -131,20 +131,20 @@ class TestWarmSession:
 
     def test_one_child_answers_every_solve(self):
         solve("(check-sat)")
-        pid = solver._session.proc.pid
+        pid = solver._child.pid
         for x in range(3):
             assert solve(declaring(x, True)).model == {"x": x, "b": True}
             # another command runs on its own, beside the warm child
             assert solve("(check-sat)", command=ONE_SHOT).status == "sat"
-        assert solver._session.proc.pid == pid
+        assert solver._child.pid == pid
 
     def test_timeout_kills_the_child_and_the_next_solve_relaunches(self):
         script = deep_horizon_script()
         solve("(check-sat)")
-        proc = solver._session.proc
+        proc = solver._child
         assert solve(script, timeout=0.01).status == "timeout"
         assert proc.returncode is not None     # killed and reaped
-        assert solver._session is None
+        assert solver._child is None
         assert solve(script).status == "sat"
 
     @pytest.mark.parametrize("script, raises", [
@@ -157,21 +157,21 @@ class TestWarmSession:
                 solve(script)
         else:
             assert solve(script).status == "sat"
-        assert solver._session is None
+        assert solver._child is None
         assert solve(declaring(5, True)).model == {"x": 5, "b": True}
 
     def test_child_killed_between_solves_is_replaced(self):
         solve("(check-sat)")
-        proc = solver._session.proc
+        proc = solver._child
         proc.kill()
         proc.wait()
         assert solve(declaring(6, True)).model == {"x": 6, "b": True}
-        assert solver._session.proc is not proc
+        assert solver._child is not proc
 
     def test_no_child_outlives_its_parent(self):
         code = ("from prbslice import solver\n"
                 "assert solver.solve('(check-sat)').status == 'sat'\n"
-                "print(solver._session.proc.pid)\n")
+                "print(solver._child.pid)\n")
         proc = subprocess.run([sys.executable, "-c", code], timeout=60,
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
@@ -180,21 +180,74 @@ class TestWarmSession:
 
     def test_forked_process_starts_its_own_child(self):
         solve("(check-sat)")
-        parent_child = solver._session.proc.pid
+        parent_child = solver._child.pid
         pid = os.fork()
         if pid == 0:                            # the forked process
             signal.alarm(60)                    # bounds the parent's wait
             ok = False
             try:
                 ok = (solve(declaring(7, False)).model == {"x": 7, "b": False}
-                      and solver._session.proc.pid != parent_child)
-                solver._close_session()
+                      and solver._child.pid != parent_child)
+                solver._close_child()
             finally:
                 os._exit(0 if ok else 1)
         _, status = os.waitpid(pid, 0)
         assert os.waitstatus_to_exitcode(status) == 0
         assert solve(declaring(8, True)).model == {"x": 8, "b": True}
-        assert solver._session.proc.pid == parent_child
+        assert solver._child.pid == parent_child
+
+
+class TestAtFork:
+    def test_forked_process_forgets_the_child_and_the_lock(self):
+        solve("(check-sat)")
+        with solver._child_lock:                # as if a thread were solving
+            pid = os.fork()
+            if pid == 0:                        # the forked process
+                signal.alarm(60)                # bounds the parent's wait
+                ok = False
+                try:
+                    ok = (solver._child is None
+                          and solve(declaring(3, True)).model
+                          == {"x": 3, "b": True})
+                    solver._close_child()
+                finally:
+                    os._exit(0 if ok else 1)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+
+
+def recording(record, then: str) -> list[str]:
+    """A one-shot fake solver that writes its pid and its arguments, one a
+    line, to ``record`` and then runs ``then``."""
+    return [sys.executable, "-c",
+            "import os, sys, time\n"
+            f"with open({str(record)!r}, 'w') as fh:\n"
+            "    print(os.getpid(), *sys.argv[1:], sep='\\n', file=fh)\n"
+            f"{then}\n"]
+
+
+class TestOneShot:
+    @pytest.mark.parametrize("then, timeout, status", [
+        ("print('sat')", 60.0, "sat"),
+        ("time.sleep(30)", 3.0, "timeout"),
+    ], ids=["returns", "times-out"])
+    def test_script_directory_is_removed(self, tmp_path, then, timeout,
+                                         status):
+        record = tmp_path / "record"
+        verdict = solve("(check-sat)", timeout=timeout,
+                        command=recording(record, then) + ["{script}"])
+        assert verdict.status == status
+        script = record.read_text().splitlines()[1]
+        assert script.endswith(".smt2")
+        assert not os.path.exists(os.path.dirname(script))
+
+    def test_timeout_leaves_no_process(self, tmp_path):
+        record = tmp_path / "record"
+        verdict = solve("(check-sat)", timeout=3.0,
+                        command=recording(record, "time.sleep(30)"))
+        assert verdict.status == "timeout"
+        with pytest.raises(ProcessLookupError):
+            os.kill(int(record.read_text()), 0)
 
 
 class TestExtractTrace:
