@@ -273,9 +273,18 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
+    for note in skipped_notes:
+        print(note, file=sys.stderr)
+    if not cells:
+        print("validation error: every (config, total_prbs) pair is over "
+              "budget; no cell to run", file=sys.stderr)
+        return EXIT_VALIDATION
+
     run_cell = partial(_sweep_cell, args)
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # a fork pool starts all its workers up front, so none beyond the cells
+    workers = min(args.jobs, len(cells))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(run_cell, cells))
     else:
         rows = [run_cell(cell) for cell in cells]
@@ -286,8 +295,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         writer = csv.DictWriter(fh, fieldnames=SWEEP_COLUMNS)
         writer.writeheader()
         writer.writerows(rows)
-    for note in skipped_notes:
-        print(note, file=sys.stderr)
     print(f"wrote {len(rows)} rows to {out}")
     statuses = [row["status"] for row in rows]
     if any(st.startswith(("solver:", "error:")) for st in statuses):
@@ -420,7 +427,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p_sweep.add_argument("--horizon", type=int,
                          help="override the horizon for every cell")
     p_sweep.add_argument("--timeout", type=_positive(float), default=120.0)
-    p_sweep.add_argument("--jobs", type=int, default=1)
+    p_sweep.add_argument("--jobs", type=_positive(int), default=1)
     p_sweep.add_argument("--out", required=True, help="output CSV path")
     p_sweep.set_defaults(handler=cmd_sweep)
 

@@ -355,12 +355,6 @@ class NetworkConfig:
         return cfg
 
 
-# Guard for the count-bound arithmetic: configurations whose bound does not
-# fit in a machine word are pathological and reported rather than silently
-# returned as bignums.
-_COUNT_BOUND_LIMIT = 2 ** 63
-
-
 def constraint_count_bound(config: NetworkConfig) -> int:
     """The paper's analytic bound on the constraint count of the encoding.
 
@@ -375,10 +369,4 @@ def constraint_count_bound(config: NetworkConfig) -> int:
     per_service = sum(
         2 * len(config.service_slices(s.service_id)) for s in config.services
     )
-    bound = config.horizon * (6 * n + per_partition + central + per_service)
-    if bound > _COUNT_BOUND_LIMIT:
-        raise OverflowError(
-            f"constraint-count bound {bound} exceeds {_COUNT_BOUND_LIMIT}; "
-            "configuration too large to encode"
-        )
-    return bound
+    return config.horizon * (6 * n + per_partition + central + per_service)

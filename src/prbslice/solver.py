@@ -8,8 +8,9 @@ The command comes from, in order: the explicit argument, the
 bundled solver is launched as a plain file, ``python -S
 <package dir>/smtlib_solver.py``: it imports only the standard library, so
 the child loads no package module and needs neither ``site`` nor the
-package on ``PYTHONPATH``.  Any SMT-LIB-conformant solver can be dropped in;
-z3's and cvc5's default model output both parse.
+package on ``PYTHONPATH``.  Any SMT-LIB-conformant solver can be dropped in:
+this module reads every reply itself, z3's and cvc5's default model output
+included, and reaches the bundled solver only as a process.
 
 Each process keeps one child of the bundled solver and sends it
 ``(reset)``, the script and an ``echo`` whose line ends the reply.  A
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import atexit
 import os
+import re
 import selectors
 import shlex
 import subprocess
@@ -43,7 +45,6 @@ from .encoder import (
 )
 from .model import NetworkConfig
 from .oracle import AllocationTrace, SliceState, SystemState
-from .smtlib_solver import parse, tokenize
 
 SOLVER_CMD_ENV = "PRBSLICE_SOLVER_CMD"
 
@@ -87,30 +88,42 @@ def resolve_solver_command(command: str | Sequence[str] | None) -> list[str]:
     return list(command)
 
 
-def _parse_model(text: str) -> dict[str, object]:
-    """Pull every (define-fun name () Sort value) out of solver output."""
+# The verdict is the first line that is one; an (error line before it ends
+# the solve.  Each zero-arity (define-fun name () Sort value) entry after it
+# is read, and the text left once they are taken out may hold only
+# whitespace and an outer ( ... ) or (model ... ).
+_VERDICT = re.compile(
+    r"^[^\S\n]*(?:(sat|unsat|unknown)[^\S\n]*$|\(error.*)", re.M)
+_ENTRY = re.compile(
+    r"\(\s*define-fun\s+([^\s()]+)\s*\(\s*\)\s*[^\s()]+\s+"
+    r"(?:(true|false)|(-?\d+)|\(\s*-\s+(\d+)\s*\))\s*\)")
+_WRAPPER = re.compile(r"\s*(?:\(\s*(?:model\s*)?\)\s*)?")
+
+
+def _read_reply(stdout: str) -> tuple[Optional[str], Optional[dict]]:
+    """The verdict of a solver reply, None if there is none, and after
+    ``sat`` its model."""
+    found = _VERDICT.search(stdout)
+    if found is None:
+        return None, None
+    if found[1] is None:
+        raise SolverProcessError(
+            f"solver reported an error: {found[0].strip()}")
+    if found[1] != "sat":
+        return found[1], None
     model: dict[str, object] = {}
 
-    def walk(node) -> None:
-        if not isinstance(node, list):
-            return
-        if (len(node) >= 5 and node[0] == "define-fun"
-                and isinstance(node[2], list) and not node[2]):
-            name, value = node[1], node[4]
-            if isinstance(value, list):
-                if len(value) == 2 and value[0] == "-":
-                    value = -value[1]
-                else:
-                    raise SolverOutputError(
-                        f"unparseable model value for {name}: {value!r}")
-            model[str(name)] = value
-            return
-        for child in node:
-            walk(child)
+    def take(entry: re.Match) -> str:
+        kind = entry.lastindex
+        value = entry[kind]
+        model[entry[1]] = (value == "true" if kind == 2 else
+                           int(value) if kind == 3 else -int(value))
+        return ""
 
-    for form in parse(tokenize(text)):
-        walk(form)
-    return model
+    left = _ENTRY.sub(take, stdout[found.end():])
+    if not _WRAPPER.fullmatch(left):
+        raise SolverOutputError(f"could not read the model: {left[:200]!r}")
+    return "sat", model
 
 
 # The bundled solver's child answers each script after a (reset); the line
@@ -276,28 +289,13 @@ def solve(
         return SolverVerdict(status="timeout", model=None, wall_time=elapsed)
     stdout, stderr, returncode = reply
 
-    status = None
-    lines = stdout.splitlines()
-    for at, line in enumerate(lines):
-        line = line.strip()
-        if line in ("sat", "unsat", "unknown"):
-            status = line
-            break
-        if line.startswith("(error"):
-            raise SolverProcessError(f"solver reported an error: {line}")
+    status, model = _read_reply(stdout)
     if status is None:
         raise SolverProcessError(
             f"solver produced no verdict (exit {returncode}); "
             f"stdout={stdout[:500]!r} stderr={stderr[:500]!r}"
         )
-    if status != "sat":
-        return SolverVerdict(status=status, model=None, wall_time=elapsed)
-
-    try:
-        model = _parse_model("\n".join(lines[at + 1:]))
-    except Exception as exc:
-        raise SolverOutputError(f"could not parse model: {exc}") from exc
-    return SolverVerdict(status="sat", model=model, wall_time=elapsed)
+    return SolverVerdict(status=status, model=model, wall_time=elapsed)
 
 
 def extract_trace(

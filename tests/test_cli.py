@@ -349,6 +349,7 @@ class TestSweep:
     @pytest.mark.parametrize("command, option, value", [
         ("sweep", "--seeds", "0"),
         ("sweep", "--seeds", "-2"),
+        ("sweep", "--jobs", "0"),
         ("sweep", "--timeout", "0"),
         ("sweep", "--timeout", "-1"),
         ("sweep", "--timeout", "nan"),
@@ -405,6 +406,40 @@ class TestSweep:
         assert all(r["status"] == "ok" for r in rows)
         combos = {(r["config"], r["total_prbs"]) for r in rows}
         assert ("config_5_4_13", "100") not in combos
+
+    def test_every_pair_over_budget_is_a_validation_error(self, tmp_path,
+                                                          capsys):
+        out = tmp_path / "sweep.csv"
+        code = main(["sweep", "--config", C5413, "--total-prbs", "100",
+                     "--seeds", "1", "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("skipping config_5_4_13 at 100 PRBs: ")
+        assert err[1].startswith("validation error: ")
+        assert not out.exists()
+
+    def test_pool_has_no_more_workers_than_cells(self, tmp_path, monkeypatch):
+        workers = []
+
+        class Serial:
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr("prbslice.cli.ProcessPoolExecutor", Serial)
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", C324, "--total-prbs", "200",
+                     "--seeds", "2", "--jobs", "3",
+                     "--out", str(out)]) == EXIT_OK
+        assert workers == [2]
+        assert len(read_rows(out)) == 2
 
     def test_single_cell(self, tmp_path):
         out = tmp_path / "one.csv"

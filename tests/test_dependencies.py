@@ -45,6 +45,19 @@ def test_bundled_solver_imports_only_the_standard_library():
             if level != 0 or name not in sys.stdlib_module_names] == []
 
 
+def test_only_a_process_reaches_the_bundled_solver():
+    # solver.py reads replies itself and runs the bundled solver as a program
+    importers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [getattr(node, "module", None) or ""]
+                names += [alias.name for alias in node.names]
+                if any("smtlib_solver" in name.split(".") for name in names):
+                    importers.add(path.name)
+    assert importers <= {"smtlib_solver.py"}, importers
+
+
 def test_numpy_is_the_only_runtime_dependency():
     tomllib = pytest.importorskip("tomllib")
     with open(ROOT / "pyproject.toml", "rb") as fh:

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from prbslice.cli import EXIT_OK, main
 from prbslice.model import (
     BudgetError,
     ConfigError,
@@ -67,14 +68,6 @@ class TestThroughput:
             nominal_throughput(a) + nominal_throughput(b), rel=1e-12)
 
 
-class TestNominalThroughput:
-    def test_default_coefficient(self):
-        assert nominal_throughput(1) == pytest.approx(4163.798, abs=1e-3)
-
-    def test_zero_usage(self):
-        assert nominal_throughput(0) == 0
-
-
 class TestConstraintCountBound:
     def test_3_2_4(self):
         # r=(2,2), n=(2,1,1): 30 * (24 + 18 + 9 + 8)
@@ -88,16 +81,31 @@ class TestConstraintCountBound:
         cfg = preset_config("3-2-4", horizon=0)
         assert constraint_count_bound(cfg) == 0
 
-    def test_overflow_reported(self):
-        huge = NetworkConfig(
+    @staticmethod
+    def one_partition(n, t_win=4, m=2, total_prbs=10 ** 6, horizon=30):
+        """One service whose n slices share one partition."""
+        return NetworkConfig(
             services=(ServiceSpec(1, "svc", 1, provision=True),),
-            slices=tuple(SliceSpec(i, 1, 1, 4, 2) for i in range(1, 61)),
-            partitions={1: tuple(range(1, 61))},
-            total_prbs=10 ** 6,
-            horizon=30,
+            slices=tuple(SliceSpec(i, 1, 1, t_win, m) for i in range(1, n + 1)),
+            partitions={1: tuple(range(1, n + 1))},
+            total_prbs=total_prbs,
+            horizon=horizon,
         )
-        with pytest.raises(OverflowError):
-            constraint_count_bound(huge)
+
+    def test_large_partition_bound_is_exact(self):
+        # 30 * (6*60 + 3**60 + 3**1 + 2*60), far past 2**63
+        bound = constraint_count_bound(self.one_partition(60))
+        assert bound == 30 * (3 ** 60 + 483)
+
+    def test_large_partition_runs_differential(self, tmp_path):
+        # 3**40 > 2**63: the bound is a ceiling, not a reason to refuse
+        config = tmp_path / "config.json"
+        config.write_text(self.one_partition(40, t_win=2, m=2,
+                                             total_prbs=200,
+                                             horizon=3).to_json())
+        assert main(["run", "--config", str(config), "--seed", "1",
+                     "--mode", "differential",
+                     "--out", str(tmp_path / "out")]) == EXIT_OK
 
 
 class TestConfigValidation:

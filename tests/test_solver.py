@@ -79,6 +79,21 @@ class TestSolve:
             f"{banner}; print('sat'); print('((define-fun x () Int 3))')"])
         assert verdict.model == {"x": 3}
 
+    def test_z3_style_model_read(self):
+        # a (model ...) wrapper, and an entry whose value is on its own line
+        reply = ("sat\n(model \n  (define-fun x () Int\n    (- 3))\n"
+                 "  (define-fun b () Bool\n    true)\n)\n")
+        verdict = solve("(check-sat)", command=[
+            sys.executable, "-c", f"print({reply!r}, end='')"])
+        assert verdict.model == {"x": -3, "b": True}
+
+    @pytest.mark.parametrize("value", ["foo", "2.5"])
+    def test_value_not_bool_or_integer_reported(self, value):
+        reply = f"sat\n((define-fun x () Int {value}))\n"
+        with pytest.raises(SolverOutputError):
+            solve("(check-sat)", command=[
+                sys.executable, "-c", f"print({reply!r}, end='')"])
+
     def test_script_file_template(self):
         verdict = solve(
             "(assert (= 1 1)) (check-sat)",
