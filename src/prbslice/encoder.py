@@ -17,16 +17,23 @@ slice, one per partition and one for the residual, so the script grows with
 N*T rather than with the number of signal combinations.
 
 The script is in definitional (SSA) form: every declared symbol has exactly
-one definition -- an initial value, a scenario pin, or an update ``(= x e)``
+one definition -- a scenario flag, an initial value, or an update ``(= x e)``
 (``(not flag)`` for a signal away from its boundary, the ``closure`` tag) --
 and ``e`` names only symbols defined earlier in the script.  Guarded cases
 are folded into ``ite`` terms, so a user event adds ``(ite en 1 0)`` and a
 boundary move is ``cap`` times ``(ite top 1 0)`` minus ``(ite ramp 1 0)``;
-away from a boundary ``frame`` definitions carry the shares over.  So the
-script has exactly one model once the scenario flags are pinned, and a
-solver that reads it in order decides each term on its first visit.  Only
+away from a boundary ``frame`` definitions carry the shares over.  Only
 the ``signal-conflict`` guards define nothing.  Every assertion carries a
 provenance tag; the vocabulary is the TAGS tuple below.
+
+The scenario flags (``ser_e`` arrivals, ``sl_lv`` departures) are not
+asserted: they are the script's assumptions, one literal each, passed to
+``(check-sat-assuming ...)``, and they define their flags before any
+assertion.  So the assertions -- the layout -- depend on the config alone,
+and the script has exactly one model under the assumptions, which a solver
+that reads it in order decides term by term on its first visit.  The
+layout and its rendered text are built once per config and reused (a
+one-entry cache), so a new scenario costs only its literals.
 
 Integer variables use the Int sort (every quantity is a count), booleans the
 Bool sort.  A per-slice auxiliary Int holds the residual value after the
@@ -37,7 +44,8 @@ move at the same boundary compose.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Optional
 
 from .model import NetworkConfig, constraint_count_bound
 from .scenario import ScenarioTrace
@@ -46,6 +54,8 @@ from .scenario import ScenarioTrace
 # the paper's analytic bound on the per-timestep constraints.
 BOUND_MULTIPLIER = 2
 
+# ``scenario`` tags no assertion since the flags became assumptions; it
+# stays in the vocabulary, whose per-tag counts are reported by name.
 TAGS = (
     "initial", "scenario", "closure", "frame",
     "user-count", "window-entries", "usage-residual",
@@ -61,10 +71,12 @@ class EncodingError(ValueError):
 
 @dataclass(frozen=True)
 class ConstraintSet:
-    """Declarations plus tagged assertions, ready for text emission."""
+    """Declarations plus tagged assertions (the layout) and the scenario's
+    assumption literals, ready for text emission."""
 
     declarations: tuple[tuple[str, str], ...]   # (name, sort)
     assertions: tuple[tuple[str, str], ...]     # (tag, formula)
+    assumptions: tuple[str, ...] = ()           # flag or (not flag)
 
     @property
     def assertion_count(self) -> int:
@@ -93,11 +105,50 @@ def _and(*parts: str) -> str:
     return f"(and {' '.join(parts)})"
 
 
+@dataclass(frozen=True)
+class _Layout:
+    config: NetworkConfig
+    declarations: tuple[tuple[str, str], ...]
+    assertions: tuple[tuple[str, str], ...]
+    text: str                   # rendered up to the check-sat command
+
+
+_last_layout: Optional[_Layout] = None
+
+
 def encode(config: NetworkConfig, scenario: ScenarioTrace) -> ConstraintSet:
-    """Build the full constraint system for (config, scenario)."""
+    """Build the full constraint system for (config, scenario): the
+    config's layout, built once for a run of equal configs, and one
+    assumption literal per scenario flag."""
+    global _last_layout
     config.validate()
     scenario.check_dimensions(config)
+    layout = _last_layout
+    if layout is None or layout.config != config:
+        _last_layout = None     # the old layout goes before the new is built
+        decls, asserts = _encode_layout(config)
+        # a copy, so that a partitions dict edited in place cannot match
+        layout = _last_layout = _Layout(replace(config), decls, asserts,
+                                        _render_layout(decls, asserts))
+    literals = []
+    for j in range(1, config.horizon + 1):
+        for svc in config.services:
+            flag = scenario.arrivals[svc.service_id - 1][j - 1]
+            literals.append(_literal(v_se(svc.service_id, j), flag))
+        for sl in config.slices:
+            flag = scenario.departures[sl.slice_id - 1][j - 1]
+            literals.append(_literal(v_lv(sl.slice_id, j), flag))
+    return ConstraintSet(layout.declarations, layout.assertions,
+                         tuple(literals))
 
+
+def _literal(name: str, flag) -> str:
+    return name if flag else f"(not {name})"
+
+
+def _encode_layout(config: NetworkConfig):
+    """The declarations and tagged assertions of a config, with the
+    scenario flags left free."""
     horizon = config.horizon
     slices = config.slices
     floor = config.overuse_floor
@@ -141,17 +192,6 @@ def encode(config: NetworkConfig, scenario: ScenarioTrace) -> ConstraintSet:
         total = sum(slices[i - 1].usage_cap for i in members)
         emit("initial", f"(= {v_pt(k, 0)} {total})")
     emit("initial", f"(= {v_rp(0)} {config.initial_residual})")
-
-    # scenario pins
-    for j in range(1, horizon + 1):
-        for svc in config.services:
-            flag = scenario.arrivals[svc.service_id - 1][j - 1]
-            emit("scenario",
-                 f"(= {v_se(svc.service_id, j)} {'true' if flag else 'false'})")
-        for sl in slices:
-            flag = scenario.departures[sl.slice_id - 1][j - 1]
-            emit("scenario",
-                 f"(= {v_lv(sl.slice_id, j)} {'true' if flag else 'false'})")
 
     for j in range(1, horizon + 1):
         # residual-overuse flag from the previous residual share
@@ -229,26 +269,39 @@ def encode(config: NetworkConfig, scenario: ScenarioTrace) -> ConstraintSet:
         emit("residual-adjust",
              f"(= {v_rp(j)} (+ {v_rp(j - 1)} {give_back}))")
 
-    cs = ConstraintSet(declarations=tuple(decls), assertions=tuple(asserts))
     limit = BOUND_MULTIPLIER * constraint_count_bound(config)
-    if cs.assertion_count > limit:
+    if len(asserts) > limit:
         raise EncodingError(
-            f"emitted {cs.assertion_count} assertions, above the "
+            f"emitted {len(asserts)} assertions, above the "
             f"documented bound {limit}"
         )
-    return cs
+    return tuple(decls), tuple(asserts)
+
+
+def _render_layout(declarations, assertions) -> str:
+    lines = ["(set-logic QF_LIA)"]
+    for name, sort in declarations:
+        lines.append(f"(declare-const {name} {sort})")
+    for tag, formula in assertions:
+        lines.append(f"; [{tag}]")
+        lines.append(f"(assert {formula})")
+    lines.append("")
+    return "\n".join(lines)
 
 
 def emit_smtlib(cs: ConstraintSet) -> str:
-    """Render a ConstraintSet as a deterministic SMT-LIB 2 script."""
-    lines = ["(set-logic QF_LIA)"]
-    for name, sort in cs.declarations:
-        lines.append(f"(declare-const {name} {sort})")
-    for tag, formula in cs.assertions:
-        lines.append(f"; [{tag}]")
-        lines.append(f"(assert {formula})")
-    lines.append("(check-sat)")
+    """Render a ConstraintSet as a deterministic SMT-LIB 2 script: the
+    layout, then ``(check-sat-assuming (literals))``, or ``(check-sat)``
+    when there are no assumptions, and ``(get-model)`` when anything is
+    declared.  The layout text of the last encoded config is reused."""
+    layout = _last_layout
+    if (layout is not None and cs.declarations is layout.declarations
+            and cs.assertions is layout.assertions):
+        text = layout.text
+    else:
+        text = _render_layout(cs.declarations, cs.assertions)
+    tail = (f"(check-sat-assuming ({' '.join(cs.assumptions)}))\n"
+            if cs.assumptions else "(check-sat)\n")
     if cs.declarations:
-        lines.append("(get-model)")
-    lines.append("")
-    return "\n".join(lines)
+        tail += "(get-model)\n"
+    return text + tail

@@ -3,14 +3,16 @@ arithmetic with booleans.
 
 This is the fallback backend used when no system SMT solver is installed: it
 reads a script on stdin (or from a file argument), answers ``sat`` /
-``unsat`` / ``unknown`` to ``(check-sat)``, and prints a model of
-``(define-fun name () Sort value)`` entries for ``(get-model)``.  It knows
-nothing about the rest of this package; it only interprets the script text.
-Stdin is read as it arrives: each read, up to its last line end, is run as
-one batch of forms and the output flushed, so one process can answer many
-scripts, each after a ``(reset)``; it ends at EOF or ``(exit)``.  A form
-left open at a line end waits for the next read.  A file argument is read
-whole and parsed before any command runs.
+``unsat`` / ``unknown`` to ``(check-sat)`` and ``(check-sat-assuming
+(literals))``, and prints a model of ``(define-fun name () Sort value)``
+entries for ``(get-model)``.  It knows nothing about the rest of this
+package; it only interprets the script text.  Stdin is read as it arrives:
+each read, up to its last line end, is run as one batch of forms and the
+output flushed, so one process can answer many scripts, each after a
+``(reset)``, or many queries on one set of assertions between ``(push n)``
+and ``(pop n)``; it ends at EOF or ``(exit)``.  A form left open at a line
+end waits for the next read.  A file argument is read whole and parsed
+before any command runs.
 
 The engine is constraint propagation on one assignment plus depth-first
 splitting on boolean variables when propagation stalls; underdetermined
@@ -27,19 +29,24 @@ later term reads them.  A split assigns one Bool (true before false): the
 first unassigned one, in name order, of the lowest-id open term that has
 one.  It propagates from that decision alone; a failed branch is undone
 from the trail.  The verdict is ``sat`` for the first leaf where every term
-holds, else ``unknown`` if any leaf was undecided, else ``unsat``.  A
-``sat`` leaf must pass a guard: ``simplify`` evaluates every assertion
-again on the complete model, and any that is not true turns the answer into
+holds, else ``unknown`` if any leaf was undecided, else ``unsat``.  The
+literals of ``check-sat-assuming`` -- each a declared Bool symbol or its
+``not`` -- are assigned before the first propagation, as decisions at level
+0 that no backtrack undoes; two that clash give ``unsat``, and they hold
+for that query alone.  A ``sat`` leaf must pass a guard: ``simplify``
+evaluates every assertion again on the complete model, and any that is not
+true, or an assumption that does not hold, turns the answer into
 ``unknown``.  A unit that gives a declared symbol a value of the other sort
 is an error.  ``(get-info :all-statistics)`` reports, for the last
 ``check-sat``, ``:propagations`` (term visits), ``:splits`` (split
 variables chosen) and ``:conflicts`` (branches closed by a conflict).
 
 Supported commands: set-logic, set-info, set-option, declare-const,
-declare-fun (zero arity), assert, check-sat, get-model, get-info, echo,
-reset, exit.  Supported theory symbols: true false not and or => xor ite =
-distinct + - * div mod abs < <= > >=; a comparison may chain, as in
-``(< a b c)``.
+declare-fun (zero arity), assert, check-sat, check-sat-assuming, push, pop,
+get-model, get-info, echo, reset, exit.  ``(pop n)`` takes back every
+declaration and assertion made since the matching ``(push n)``.  Supported
+theory symbols: true false not and or => xor ite = distinct + - * div mod
+abs < <= > >=; a comparison may chain, as in ``(< a b c)``.
 """
 
 from __future__ import annotations
@@ -508,6 +515,7 @@ class Interpreter:
         self.sorts: dict[str, str] = {}
         self.order: list[str] = []
         self.assertions: list = []
+        self.levels: list[tuple[int, int]] = []  # (assertions, declarations)
         self.result: str | None = None
         self.model: dict | None = None
         self.stats = dict.fromkeys(STATISTICS, 0)
@@ -521,17 +529,43 @@ class Interpreter:
         self.sorts[name] = sort
         self.order.append(name)
 
-    def check_sat(self) -> None:
+    def literal(self, lit) -> tuple[str, bool]:
+        """The (symbol, value) that an assumption literal asks for."""
+        var, val = lit, True
+        if type(lit) is list and len(lit) == 2 and lit[0] == "not":
+            var, val = lit[1], False
+        if type(var) is not str or self.sorts.get(var) != "Bool":
+            raise SmtError(f"assumption {lit!r} is not a declared Bool "
+                           f"symbol or its negation")
+        return var, val
+
+    def pop(self, n: int) -> None:
+        if n > len(self.levels):
+            raise SmtError(f"pop {n} below level 0 (at level "
+                           f"{len(self.levels)})")
+        if n:
+            asserted, declared = self.levels[-n]
+            del self.levels[-n:], self.assertions[asserted:]
+            for name in self.order[declared:]:
+                del self.sorts[name]
+            del self.order[declared:]
+
+    def check_sat(self, assumptions=()) -> None:
         prop = Propagator(self.assertions, self.sorts)
-        outcome = search(prop)
+        if all(prop.assign(var, val) for var, val in assumptions):
+            outcome = search(prop)
+        else:
+            outcome = ("unsat",)
         self.stats = prop.stats
         self.result, self.model = outcome[0], None
         if self.result == "sat":
             env = outcome[1]
             for name in self.order:
                 env.setdefault(name, 0 if self.sorts[name] == "Int" else False)
-            # soundness guard: the model must satisfy every original assertion
-            if all(simplify(t, env) is True for t in self.assertions):
+            # soundness guard: the model must satisfy every original
+            # assertion and every assumption
+            if (all(simplify(t, env) is True for t in self.assertions)
+                    and all(env[var] is val for var, val in assumptions)):
                 self.model = env
             else:
                 self.result = "unknown"
@@ -582,6 +616,19 @@ class Interpreter:
                 self.assertions.append(form[1])
             elif cmd == "check-sat":
                 self.check_sat()
+            elif cmd == "check-sat-assuming":
+                if len(form) != 2 or type(form[1]) is not list:
+                    raise SmtError("check-sat-assuming takes one list of "
+                                   "literals")
+                self.check_sat([self.literal(lit) for lit in form[1]])
+            elif cmd in ("push", "pop"):
+                if len(form) != 2 or type(form[1]) is not int or form[1] < 0:
+                    raise SmtError(f"{cmd} takes one numeral")
+                if cmd == "pop":
+                    self.pop(form[1])
+                else:
+                    self.levels += [(len(self.assertions),
+                                     len(self.order))] * form[1]
             elif cmd == "get-model":
                 self.get_model()
             elif cmd == "get-info":

@@ -12,16 +12,25 @@ package on ``PYTHONPATH``.  Any SMT-LIB-conformant solver can be dropped in:
 this module reads every reply itself, z3's and cvc5's default model output
 included, and reaches the bundled solver only as a process.
 
-Each process keeps one child of the bundled solver and sends it
-``(reset)``, the script and an ``echo`` whose line ends the reply.  A
-timeout kills and reaps the child, and a child that exits, or that was
-launched for another command line, is reaped; either way the next solve
-launches a new one.  An at-fork hook makes a forked process forget the
-inherited child, which stays its parent's, so the forked process launches
-its own.  An ``atexit`` hook closes the child's stdin and waits a moment
-before killing it.  Any other command is one-shot: it runs through
-``subprocess.run`` with the script on stdin, and a timeout kills and
-reaps it.
+Each process keeps one child of the bundled solver, which holds the
+assertions of the last script between solves.  A script's prefix is the
+text before its first line that begins with ``(check-sat``, its query the
+rest: for an encoded cell, the layout and the scenario's
+``check-sat-assuming`` literals.  If the child holds a prefix equal to the
+script's, it is sent ``(pop 1)(push 1)`` and the query; else ``(reset)``,
+the prefix, ``(push 1)`` and the query.  A script with no such line, a
+prefix that prints (``check-sat``, ``get-`` or ``echo`` in it) or a query
+that moves the assertion levels (``push``, ``pop`` or ``reset`` in it) is
+sent whole after ``(reset)``, and nothing is held.  An ``echo`` whose line
+ends the reply comes last.  A timeout kills and reaps the child, and a
+child that exits, or that was launched for another command line, is
+reaped; either way the held prefix is forgotten and the next solve
+launches a new child.  An at-fork hook makes a forked process forget the
+inherited child and its prefix (the child stays its parent's), so the
+forked process launches its own.  An ``atexit`` hook closes the child's
+stdin and waits a moment before killing it.  Any other command is
+one-shot: it runs through ``subprocess.run`` with the script on stdin, and
+a timeout kills and reaps it.
 """
 
 from __future__ import annotations
@@ -126,24 +135,29 @@ def _read_reply(stdout: str) -> tuple[Optional[str], Optional[dict]]:
     return "sat", model
 
 
-# The bundled solver's child answers each script after a (reset); the line
-# it echoes after the script ends its reply.
-_RESET = "(reset)\n"
+# The bundled solver's child is sent (text, start, stop) spans: a held
+# prefix and then the query, or the script after a (reset); the line it
+# echoes last ends its reply.
+_CHECK = "(check-sat"
+_PRINTS = ("check-sat", "get-", "echo")     # a prefix with one is not held
+_LEVELS = ("push", "pop", "reset")          # nor one whose query has one
 _DONE = "prbslice-solve-done"
-_ECHO_DONE = f'\n(echo "{_DONE}")\n'
+_RESET, _PUSH, _REPUSH, _ECHO_DONE = ((text, 0, len(text)) for text in (
+    "(reset)\n", "(push 1)\n", "(pop 1)(push 1)\n", f'\n(echo "{_DONE}")\n'))
 _DONE_LINE = f"{_DONE}\n".encode()
 _PIECE = 1 << 16                # characters encoded per write, bytes per read
 _EXIT_GRACE_S = 1.0             # wait for an idle child to exit at EOF
 
 _child: Optional[subprocess.Popen] = None   # this process's warm child
 _child_lock = threading.Lock()              # threads take turns with it
+_held: Optional[tuple[str, int]] = None     # (script, prefix length) held
 
 
 def _forget_child() -> None:
-    """In a forked process: the inherited child and lock are the
-    parent's, so start with neither."""
-    global _child, _child_lock
-    _child, _child_lock = None, threading.Lock()
+    """In a forked process: the inherited child, the prefix it holds and
+    the lock are the parent's, so start with none of them."""
+    global _child, _child_lock, _held
+    _child, _child_lock, _held = None, threading.Lock(), None
 
 
 os.register_at_fork(after_in_child=_forget_child)
@@ -152,8 +166,8 @@ os.register_at_fork(after_in_child=_forget_child)
 def _drop_child(deadline: float) -> None:
     """Close the warm child's pipes and reap it, killing it if it is still
     running at ``deadline``."""
-    global _child
-    proc, _child = _child, None
+    global _child, _held
+    proc, _child, _held = _child, None, None
     if proc is None:
         return
     for stream in (proc.stdin, proc.stdout, proc.stderr):
@@ -170,15 +184,17 @@ def _close_child() -> None:
     _drop_child(time.monotonic() + _EXIT_GRACE_S)
 
 
-def _exchange(proc: subprocess.Popen, texts: Sequence[str],
+def _exchange(proc: subprocess.Popen,
+              parts: Sequence[tuple[str, int, int]],
               deadline: float) -> Optional[tuple[str, str, bool]]:
-    """One round trip with the warm child: write ``texts`` to its stdin,
-    encoded a piece at a time, while reading its stdout and stderr until
-    the ``_DONE`` line, which is cut off, or EOF on both.  Returns (stdout,
-    stderr, whether the ``_DONE`` line came), or None if ``deadline``
-    passes first."""
-    pieces = (text[at:at + _PIECE].encode() for text in texts
-              for at in range(0, len(text), _PIECE))
+    """One round trip with the warm child: write ``text[start:stop]`` of
+    each of ``parts`` to its stdin, encoded a piece at a time, while
+    reading its stdout and stderr until the ``_DONE`` line, which is cut
+    off, or EOF on both.  Returns (stdout, stderr, whether the ``_DONE``
+    line came), or None if ``deadline`` passes first."""
+    pieces = (text[at:min(at + _PIECE, stop)].encode()
+              for text, start, stop in parts
+              for at in range(start, stop, _PIECE))
     pending = memoryview(b"")
     out, err = bytearray(), bytearray()
     stdin = proc.stdin.fileno()
@@ -218,12 +234,37 @@ def _exchange(proc: subprocess.Popen, texts: Sequence[str],
     return out.decode(errors="replace"), err.decode(errors="replace"), False
 
 
+def _query_start(script: str) -> Optional[int]:
+    """Where the script's query starts, if its prefix may be held."""
+    if script.startswith(_CHECK):
+        at = 0
+    else:
+        at = script.find("\n" + _CHECK) + 1
+        if not at:
+            return None
+    if any(script.find(word, at) >= 0 for word in _LEVELS):
+        return None
+    return at
+
+
+def _holds(script: str, at: int) -> bool:
+    """Whether the child holds a prefix equal to ``script[:at]``, compared
+    a piece at a time so that neither is copied whole."""
+    if _held is None or _held[1] != at:
+        return False
+    held = _held[0]
+    return held is script or all(
+        script[i:min(i + _PIECE, at)] == held[i:min(i + _PIECE, at)]
+        for i in range(0, at, _PIECE))
+
+
 def _ask_child(argv: list[str], script: str, deadline: float):
     """Send the script to the warm child, launching it first if there is
-    none for ``argv`` or it has exited.  A child that timed out, exited or
-    raised is dropped, so the next solve launches a new one.  Returns
-    (stdout, stderr, exit status or None), or None at the deadline."""
-    global _child
+    none for ``argv`` or it has exited: only the query if the child holds
+    the script's prefix.  A child that timed out, exited or raised is
+    dropped, so the next solve launches a new one.  Returns (stdout,
+    stderr, exit status or None), or None at the deadline."""
+    global _child, _held
     if _child is not None and (_child.args != argv
                                or _child.poll() is not None):
         _close_child()
@@ -237,13 +278,23 @@ def _ask_child(argv: list[str], script: str, deadline: float):
                 f"could not run solver {argv!r}: {exc}") from exc
         os.set_blocking(_child.stdin.fileno(), False)
     proc, reply = _child, None
+    at, end = _query_start(script), len(script)
+    if at is not None and _holds(script, at):
+        parts = (_REPUSH, (script, at, end))
+    elif at is not None and not any(script.find(word, 0, at) >= 0
+                                    for word in _PRINTS):
+        parts = (_RESET, (script, 0, at), _PUSH, (script, at, end))
+    else:
+        at, parts = None, (_RESET, (script, 0, end))
     try:
-        reply = _exchange(proc, (_RESET, script, _ECHO_DONE), deadline)
+        reply = _exchange(proc, (*parts, _ECHO_DONE), deadline)
     finally:
         if reply is None or not reply[2]:
             _drop_child(0.0 if reply is None else deadline)
     if reply is None:
         return None
+    if reply[2]:
+        _held = None if at is None else (script, at)
     return reply[0], reply[1], proc.returncode
 
 

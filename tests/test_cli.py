@@ -544,8 +544,8 @@ ARTIFACT_SHA256 = {
                  "338736e66e9fb56e2ed83f37d03ca0eb",
     "trace.json": "e89628c6eeeb66fe391c5066c67a9027"
                   "5605881039fe04e818ecbd428654f71f",
-    "model.smt2": "3b7947c153b908bdc227339c8e594e52"
-                  "5081c7f56a7722ac8419fc7af12d92bd",
+    "model.smt2": "b75f94d92559d150fe38202b381a6f14"
+                  "f5b189c099ded8607dae6973b7353e87",
     "verdict.json": "9056fd9b7c79762c42bc0ec666bb4e12"
                     "173e6fc866668b534fb2c4380cab4779",
     "smt_trace.csv": "0a8ee14c062e85d2452245e0088ed359"

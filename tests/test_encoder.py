@@ -69,6 +69,28 @@ class TestEncode:
         script = emit_smtlib(ConstraintSet(declarations=(), assertions=()))
         assert script.splitlines() == ["(set-logic QF_LIA)", "(check-sat)"]
 
+    def test_layout_built_once_for_equal_configs(self):
+        spec = preset_scenario_spec("3-2-4")
+        config = preset_config("3-2-4")
+        first = encode(config, spec.generate(config, 1))
+        # an equal config, another object, and another scenario
+        again = encode(preset_config("3-2-4"), spec.generate(config, 2))
+        assert again.declarations is first.declarations
+        assert again.assertions is first.assertions
+        assert again.assumptions != first.assumptions
+        wider = preset_config("3-2-4", total_prbs=300)
+        other = encode(wider, spec.generate(wider, 1))
+        assert other.assertions != first.assertions
+        # the layout text is the same whether reused or rendered afresh
+        copied = ConstraintSet(tuple(list(first.declarations)),
+                               tuple(list(first.assertions)),
+                               first.assumptions)
+        assert emit_smtlib(copied) == emit_smtlib(first)
+        a, b = emit_smtlib(first), emit_smtlib(again)
+        at = a.index("(check-sat-assuming")
+        assert b.index("(check-sat-assuming") == at and a[:at] == b[:at]
+        assert a[at:] != b[at:]
+
     def test_count_bound(self, small_run):
         config, scenario, _ = small_run
         cs = encode(config, scenario)
@@ -150,11 +172,12 @@ def definition(part, declared):
 
 
 class TestDefinitionalForm:
-    """Each declared symbol is defined once, by a scenario pin, an initial
-    value or an update, top level or as a conjunct of a top-level ``and``,
-    and each right side names only symbols defined above it.  So the
-    pinned script has exactly one model, and reading the definitions in
-    script order computes it."""
+    """Each declared symbol is defined once: a scenario flag by its
+    assumption literal, before any assertion, and every other symbol by an
+    initial value or an update, top level or as a conjunct of a top-level
+    ``and``, whose right side names only symbols defined above it.  So the
+    script has exactly one model under its assumptions, and reading the
+    definitions in script order computes it."""
 
     @pytest.mark.parametrize("config, spec, seed", definitional_cells())
     def test_one_definition_per_symbol_in_script_order(self, config, spec,
@@ -162,6 +185,13 @@ class TestDefinitionalForm:
         cs = encode(config, spec.generate(config, seed))
         declared = {name for name, _ in cs.declarations}
         defined: set = set()
+        for literal in cs.assumptions:
+            (term,) = parse(tokenize(literal))
+            negated = isinstance(term, list) and term[0] == "not"
+            sym = term[1] if negated and len(term) == 2 else term
+            assert isinstance(sym, str) and sym in declared, literal
+            assert sym not in defined, f"{sym} assumed twice"
+            defined.add(sym)
         for tag, formula in cs.assertions:
             (term,) = parse(tokenize(formula))
             parts = term[1:] if term[0] == "and" else [term]

@@ -644,6 +644,93 @@ def formulas(depth):
     )
 
 
+def both_modes(script: str) -> tuple[str, int]:
+    """The output and exit status of a script run in process, an SmtError
+    written as its ``(error ...)`` line and status 3, after checking that
+    the bundled solver's child prints and exits the same."""
+    out = io.StringIO()
+    try:
+        Interpreter(out).run(script)
+        code = 0
+    except SmtError as exc:
+        out.write(f'(error "{exc}")\n')
+        code = 3
+    proc = subprocess.run(default_solver_command(), input=script,
+                          capture_output=True, text=True, timeout=30)
+    assert (proc.stdout, proc.returncode) == (out.getvalue(), code)
+    return out.getvalue(), code
+
+
+AB = "(declare-const a Bool)(declare-const b Bool)(assert (or a b))"
+
+
+class TestAssumptionsAndLevels:
+    def test_assumptions_decide_without_asserting(self):
+        # after each check-sat-assuming the assertions are as before, so a
+        # plain check-sat answers as it did before it
+        out, code = both_modes(
+            AB + "(check-sat)(check-sat-assuming ((not a) (not b)))"
+            "(check-sat)(check-sat-assuming ((not a)))(get-model)(check-sat)")
+        assert code == 0
+        assert out == ("sat\nunsat\nsat\nsat\n(\n"
+                       "  (define-fun a () Bool false)\n"
+                       "  (define-fun b () Bool true)\n)\nsat\n")
+
+    def test_assumptions_are_assigned_before_propagation(self):
+        # they are level-0 decisions, not terms: nothing splits on them,
+        # and the one assertion is decided on its first visit
+        assert statistics(AB + "(check-sat-assuming (a (not b)))") == {
+            ":propagations": 1, ":splits": 0, ":conflicts": 0}
+
+    def test_clashing_assumptions_are_unsat(self):
+        out, code = both_modes(AB + "(check-sat-assuming (a b (not a)))"
+                               "(check-sat)")
+        assert (out, code) == ("unsat\nsat\n", 0)
+
+    @pytest.mark.parametrize("literal, shown", [
+        ("n", "'n'"), ("z", "'z'"), ("(not n)", "['not', 'n']"),
+        ("(and a b)", "['and', 'a', 'b']"), ("(not (not a))",
+                                             "['not', ['not', 'a']]"),
+        ("true", "True"),
+    ], ids=["int-symbol", "undeclared", "negated-int", "conjunction",
+            "double-negation", "constant"])
+    def test_assumption_not_a_bool_literal_is_an_error(self, literal, shown):
+        out, code = both_modes("(declare-const n Int)" + AB
+                               + f"(check-sat-assuming ({literal}))")
+        assert code == 3
+        assert out == (f'(error "assumption {shown} is not a declared '
+                       'Bool symbol or its negation")\n')
+
+    def test_pop_takes_back_assertions_and_declarations(self):
+        out, code = both_modes(
+            "(declare-const x Int)(assert (= x 1))(push 1)"
+            "(declare-const y Int)(assert (= y x))(assert (= x 2))"
+            "(check-sat)(pop 1)(check-sat)(get-model)"
+            # y is undeclared again, so it may be declared with a new sort
+            "(push 2)(declare-const y Bool)(assert y)(push 1)(assert false)"
+            "(check-sat)(pop 1)(check-sat)(pop 2)(check-sat)(get-model)")
+        assert code == 0
+        assert out == ("unsat\nsat\n(\n  (define-fun x () Int 1)\n)\n"
+                       "unsat\nsat\nsat\n(\n  (define-fun x () Int 1)\n)\n")
+
+    @pytest.mark.parametrize("script, message", [
+        ("(pop 1)", "pop 1 below level 0 (at level 0)"),
+        ("(push 2)(pop 1)(pop 2)", "pop 2 below level 0 (at level 1)"),
+        ("(push)", "push takes one numeral"),
+        ("(pop -1)", "pop takes one numeral"),
+        ("(check-sat-assuming a)", "check-sat-assuming takes one list of "
+                                   "literals"),
+    ], ids=["below-zero", "below-zero-after-push", "no-numeral", "negative",
+            "no-list"])
+    def test_bad_level_or_query_is_an_error(self, script, message):
+        assert both_modes(script) == (f'(error "{message}")\n', 3)
+
+    def test_reset_clears_the_levels(self):
+        out, code = both_modes("(push 1)(reset)(pop 1)")
+        assert (out, code) == ('(error "pop 1 below level 0 (at level 0)")\n',
+                               3)
+
+
 class TestStatistics:
     def test_all_statistics_reports_counters(self):
         stats = statistics("(declare-const a Bool)(declare-const b Bool)"
@@ -667,7 +754,7 @@ class TestStatistics:
         config = preset_config("5-4-13", total_prbs=200, horizon=70)
         scenario = preset_scenario_spec("5-4-13").generate(config, 1)
         stats = statistics(emit_smtlib(encode(config, scenario)))
-        assert stats == {":propagations": 12670, ":splits": 0,
+        assert stats == {":propagations": 11410, ":splits": 0,
                          ":conflicts": 0}
 
     @pytest.mark.parametrize("name, horizon", [
@@ -895,7 +982,7 @@ class TestMainEntry:
     def test_unsupported_command_reports_error(self):
         proc = subprocess.run(
             [sys.executable, "-m", "prbslice.smtlib_solver"],
-            input="(push 1)",
+            input="(get-assertions)",
             capture_output=True, text=True)
         assert proc.returncode == 3
         assert "error" in proc.stdout

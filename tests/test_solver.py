@@ -212,6 +212,107 @@ class TestWarmSession:
         assert solver._child.pid == parent_child
 
 
+@pytest.fixture
+def sent(monkeypatch):
+    """The text each solve sends the warm child, one entry per solve; the
+    child is closed first, so the first solve launches one."""
+    solver._close_child()
+    texts = []
+    exchange = solver._exchange
+
+    def record(proc, parts, deadline):
+        texts.append("".join(text[start:stop] for text, start, stop in parts))
+        return exchange(proc, parts, deadline)
+
+    monkeypatch.setattr(solver, "_exchange", record)
+    return texts
+
+
+def cell_script(name: str, seed: int) -> str:
+    config = preset_config(name, total_prbs=200)
+    return emit_smtlib(encode(config, preset_scenario_spec(name).generate(
+        config, seed)))
+
+
+def resets(sent: list[str]) -> list[bool]:
+    return [text.startswith("(reset)\n") for text in sent]
+
+
+class TestHeldLayout:
+    def test_same_layout_sends_only_the_query(self, sent):
+        for seed in (1, 2, 1):
+            assert solve(cell_script("3-2-4", seed)).status == "sat"
+        assert sent[0].startswith("(reset)\n(set-logic QF_LIA)\n")
+        assert "\n(push 1)\n(check-sat-assuming (" in sent[0]
+        for text in sent[1:]:
+            assert text.startswith("(pop 1)(push 1)\n(check-sat-assuming (")
+            assert "(reset)" not in text and "assert" not in text
+
+    def test_new_layout_resets(self, sent):
+        for name in ("3-2-4", "3-3-7", "3-2-4"):
+            assert solve(cell_script(name, 1)).status == "sat"
+        assert resets(sent) == [True, True, True]
+
+    def test_timed_out_solve_resets(self, sent):
+        script = deep_horizon_script()
+        assert solve(script).status == "sat"
+        assert solve(script, timeout=0.001).status == "timeout"
+        assert solve(script).status == "sat"
+        assert resets(sent) == [True, False, True]
+
+    def test_child_that_exits_resets(self, sent):
+        script = cell_script("3-2-4", 1)
+        for text in (script, "(check-sat)\n(exit)\n", script):
+            assert solve(text).status == "sat"
+        assert resets(sent) == [True, True, True]
+
+    def test_forked_process_resets(self, sent):
+        script = cell_script("3-2-4", 1)
+        solve(script)
+        pid = os.fork()
+        if pid == 0:                            # the forked process
+            signal.alarm(60)                    # bounds the parent's wait
+            ok = False
+            try:
+                ok = solve(script).status == "sat" and resets(sent)[-1]
+                solver._close_child()
+            finally:
+                os._exit(0 if ok else 1)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        solve(script)                           # the parent's still holds it
+        assert resets(sent) == [True, False]
+
+    @pytest.mark.parametrize("script", [
+        # the query pops the level the prefix pushed: held, a second run
+        # would pop the (assert (not a)) away and answer sat
+        "(declare-const a Bool)\n(push 1)\n(assert (not a))\n"
+        "(check-sat-assuming (a))\n(pop 1)\n(check-sat-assuming (a))\n",
+        # the prefix prints the verdict: held, a second run would print
+        # only the query's sat
+        "(declare-const a Bool)(assert a)(check-sat-assuming ((not a)))\n"
+        "(check-sat)\n",
+    ], ids=["query-pops", "prefix-prints"])
+    def test_prefix_not_held_when_levels_move_or_it_prints(self, sent,
+                                                           script):
+        for _ in range(2):
+            assert solve(script).status == "unsat"
+            assert solve(script, command=ONE_SHOT).status == "unsat"
+        assert resets(sent) == [True, True]
+
+    @pytest.mark.parametrize("name", ["3-2-4", "5-4-13"])
+    def test_held_answers_equal_one_shot_answers(self, sent, name):
+        # a {script} template runs the bundled solver on a file, once
+        one_shot = default_solver_command() + ["{script}"]
+        for seed in range(1, 6):
+            script = cell_script(name, seed)
+            warm = solve(script)
+            once = solve(script, command=one_shot)
+            assert warm.status == once.status == "sat"
+            assert warm.model == once.model
+        assert resets(sent) == [True] + [False] * 4
+
+
 class TestAtFork:
     def test_forked_process_forgets_the_child_and_the_lock(self):
         solve("(check-sat)")
