@@ -33,6 +33,14 @@ class BudgetError(ConfigError):
     PRB budget."""
 
 
+def json_field(value, kind: type):
+    """``value`` if its JSON type is exactly ``kind``: ``int()`` or
+    ``bool()`` would truncate 2.9, read true as 1 or "false" as true."""
+    if type(value) is not kind:
+        raise TypeError(f"expected {kind.__name__}, got {value!r}")
+    return value
+
+
 def max_window_usage(t_win: int, m: int) -> int:
     """Largest possible PRB usage of a slice within one window.
 
@@ -317,35 +325,36 @@ class NetworkConfig:
         try:
             slices = tuple(
                 SliceSpec(
-                    slice_id=int(s["slice_id"]),
-                    service_id=int(s["service_id"]),
-                    partition_id=int(s["partition_id"]),
-                    t_win=int(s["t_win"]),
-                    m=int(s["m"]),
+                    slice_id=json_field(s["slice_id"], int),
+                    service_id=json_field(s["service_id"], int),
+                    partition_id=json_field(s["partition_id"], int),
+                    t_win=json_field(s["t_win"], int),
+                    m=json_field(s["m"], int),
                 )
                 for s in doc["slices"]
             )
             services = []
             for s in doc["services"]:
-                sid = int(s["service_id"])
+                sid = json_field(s["service_id"], int)
                 owned = sum(1 for sl in slices if sl.service_id == sid)
                 services.append(
                     ServiceSpec(
                         service_id=sid,
                         name=str(s["name"]),
-                        priority_rank=int(s["priority_rank"]),
-                        provision=bool(s.get("provision", owned > 1)),
+                        priority_rank=json_field(s["priority_rank"], int),
+                        provision=json_field(s.get("provision", owned > 1),
+                                             bool),
                     )
                 )
             cfg = cls(
                 services=tuple(services),
                 slices=slices,
                 partitions={
-                    int(k): tuple(int(i) for i in v)
+                    int(k): tuple(json_field(i, int) for i in v)
                     for k, v in doc["partitions"].items()
                 },
-                total_prbs=int(doc["total_prbs"]),
-                horizon=int(doc["horizon"]),
+                total_prbs=json_field(doc["total_prbs"], int),
+                horizon=json_field(doc["horizon"], int),
                 overuse_fraction=Fraction(doc.get("overuse_fraction", "1/2")),
                 timestep_minutes=Fraction(doc.get("timestep_minutes", "1")),
                 name=str(doc.get("name", "")),

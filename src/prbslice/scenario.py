@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .model import NetworkConfig
+from .model import NetworkConfig, json_field
 
 _KINDS = ("lognormal", "poisson", "bernoulli")
 
@@ -76,6 +76,13 @@ class DistributionSpec:
                    threshold=float(doc["threshold"]))
 
 
+def _flag(value) -> bool:
+    """A scenario flag: 0, 1, true or false."""
+    if type(value) not in (int, bool) or value not in (0, 1):
+        raise ValueError(f"expected a flag, got {value!r}")
+    return bool(value)
+
+
 @dataclass(frozen=True)
 class ScenarioTrace:
     """Exogenous flags: arrivals[mu-1][j-1] per service, departures[i-1][j-1]
@@ -119,10 +126,10 @@ class ScenarioTrace:
         try:
             doc = json.loads(text)
             return cls(
-                seed=int(doc["seed"]),
-                arrivals=tuple(tuple(bool(f) for f in row)
+                seed=json_field(doc["seed"], int),
+                arrivals=tuple(tuple(_flag(f) for f in row)
                                for row in doc["arrivals"]),
-                departures=tuple(tuple(bool(f) for f in row)
+                departures=tuple(tuple(_flag(f) for f in row)
                                  for row in doc["departures"]),
             )
         except (KeyError, TypeError, AttributeError, ValueError) as exc:

@@ -9,8 +9,8 @@ entries for ``(get-model)``.  It knows nothing about the rest of this
 package; it only interprets the script text.  Stdin is read as it arrives:
 each read, up to its last line end, is run as one batch of forms and the
 output flushed, so one process can answer many scripts, each after a
-``(reset)``, or many queries on one set of assertions between ``(push n)``
-and ``(pop n)``; it ends at EOF or ``(exit)``.  A form left open at a line
+``(reset)``, or many ``check-sat-assuming`` queries on one set of
+assertions; it ends at EOF or ``(exit)``.  A form left open at a line
 end waits for the next read.  A file argument is read whole and parsed
 before any command runs.
 
@@ -42,11 +42,10 @@ is an error.  ``(get-info :all-statistics)`` reports, for the last
 variables chosen) and ``:conflicts`` (branches closed by a conflict).
 
 Supported commands: set-logic, set-info, set-option, declare-const,
-declare-fun (zero arity), assert, check-sat, check-sat-assuming, push, pop,
-get-model, get-info, echo, reset, exit.  ``(pop n)`` takes back every
-declaration and assertion made since the matching ``(push n)``.  Supported
-theory symbols: true false not and or => xor ite = distinct + - * div mod
-abs < <= > >=; a comparison may chain, as in ``(< a b c)``.
+declare-fun (zero arity), assert, check-sat, check-sat-assuming,
+get-model, get-info, echo, reset, exit.  Supported theory symbols: true
+false not and or => xor ite = distinct + - * div mod abs < <= > >=; a
+comparison may chain, as in ``(< a b c)``.
 """
 
 from __future__ import annotations
@@ -515,7 +514,6 @@ class Interpreter:
         self.sorts: dict[str, str] = {}
         self.order: list[str] = []
         self.assertions: list = []
-        self.levels: list[tuple[int, int]] = []  # (assertions, declarations)
         self.result: str | None = None
         self.model: dict | None = None
         self.stats = dict.fromkeys(STATISTICS, 0)
@@ -538,17 +536,6 @@ class Interpreter:
             raise SmtError(f"assumption {lit!r} is not a declared Bool "
                            f"symbol or its negation")
         return var, val
-
-    def pop(self, n: int) -> None:
-        if n > len(self.levels):
-            raise SmtError(f"pop {n} below level 0 (at level "
-                           f"{len(self.levels)})")
-        if n:
-            asserted, declared = self.levels[-n]
-            del self.levels[-n:], self.assertions[asserted:]
-            for name in self.order[declared:]:
-                del self.sorts[name]
-            del self.order[declared:]
 
     def check_sat(self, assumptions=()) -> None:
         prop = Propagator(self.assertions, self.sorts)
@@ -621,14 +608,6 @@ class Interpreter:
                     raise SmtError("check-sat-assuming takes one list of "
                                    "literals")
                 self.check_sat([self.literal(lit) for lit in form[1]])
-            elif cmd in ("push", "pop"):
-                if len(form) != 2 or type(form[1]) is not int or form[1] < 0:
-                    raise SmtError(f"{cmd} takes one numeral")
-                if cmd == "pop":
-                    self.pop(form[1])
-                else:
-                    self.levels += [(len(self.assertions),
-                                     len(self.order))] * form[1]
             elif cmd == "get-model":
                 self.get_model()
             elif cmd == "get-info":

@@ -17,20 +17,19 @@ assertions of the last script between solves.  A script's prefix is the
 text before its first line that begins with ``(check-sat``, its query the
 rest: for an encoded cell, the layout and the scenario's
 ``check-sat-assuming`` literals.  If the child holds a prefix equal to the
-script's, it is sent ``(pop 1)(push 1)`` and the query; else ``(reset)``,
-the prefix, ``(push 1)`` and the query.  A script with no such line, a
-prefix that prints (``check-sat``, ``get-`` or ``echo`` in it) or a query
-that moves the assertion levels (``push``, ``pop`` or ``reset`` in it) is
-sent whole after ``(reset)``, and nothing is held.  An ``echo`` whose line
-ends the reply comes last.  A timeout kills and reaps the child, and a
-child that exits, or that was launched for another command line, is
-reaped; either way the held prefix is forgotten and the next solve
-launches a new child.  An at-fork hook makes a forked process forget the
-inherited child and its prefix (the child stays its parent's), so the
-forked process launches its own.  An ``atexit`` hook closes the child's
-stdin and waits a moment before killing it.  Any other command is
-one-shot: it runs through ``subprocess.run`` with the script on stdin, and
-a timeout kills and reaps it.
+script's, it is sent the query alone; else ``(reset)`` and the whole
+script, after which it holds the script's prefix unless the prefix prints
+(``check-sat``, ``get-`` or ``echo`` in it).  A query that would change
+what the child holds (``assert``, ``declare`` or ``reset`` in it) leaves
+no prefix held.  An ``echo`` whose line ends the reply comes last.  A
+timeout kills and reaps the child, and a child that exits, or that was
+launched for another command line, is reaped; either way the held prefix
+is forgotten and the next solve launches a new child.  An at-fork hook
+makes a forked process forget the inherited child and its prefix (the
+child stays its parent's), so the forked process launches its own.  An
+``atexit`` hook closes the child's stdin and waits a moment before killing
+it.  Any other command is one-shot: it runs through ``subprocess.run``
+with the script on stdin, and a timeout kills and reaps it.
 """
 
 from __future__ import annotations
@@ -135,15 +134,14 @@ def _read_reply(stdout: str) -> tuple[Optional[str], Optional[dict]]:
     return "sat", model
 
 
-# The bundled solver's child is sent (text, start, stop) spans: a held
-# prefix and then the query, or the script after a (reset); the line it
-# echoes last ends its reply.
+# The bundled solver's child is sent the query of a held prefix, or the
+# script after a (reset); the line it echoes last ends its reply.
 _CHECK = "(check-sat"
 _PRINTS = ("check-sat", "get-", "echo")     # a prefix with one is not held
-_LEVELS = ("push", "pop", "reset")          # nor one whose query has one
+_CHANGES = ("assert", "declare", "reset")   # nor one whose query has one
 _DONE = "prbslice-solve-done"
-_RESET, _PUSH, _REPUSH, _ECHO_DONE = ((text, 0, len(text)) for text in (
-    "(reset)\n", "(push 1)\n", "(pop 1)(push 1)\n", f'\n(echo "{_DONE}")\n'))
+_RESET = "(reset)\n"
+_ECHO_DONE = f'\n(echo "{_DONE}")\n'
 _DONE_LINE = f"{_DONE}\n".encode()
 _PIECE = 1 << 16                # characters encoded per write, bytes per read
 _EXIT_GRACE_S = 1.0             # wait for an idle child to exit at EOF
@@ -184,17 +182,15 @@ def _close_child() -> None:
     _drop_child(time.monotonic() + _EXIT_GRACE_S)
 
 
-def _exchange(proc: subprocess.Popen,
-              parts: Sequence[tuple[str, int, int]],
+def _exchange(proc: subprocess.Popen, texts: Sequence[str],
               deadline: float) -> Optional[tuple[str, str, bool]]:
-    """One round trip with the warm child: write ``text[start:stop]`` of
-    each of ``parts`` to its stdin, encoded a piece at a time, while
-    reading its stdout and stderr until the ``_DONE`` line, which is cut
-    off, or EOF on both.  Returns (stdout, stderr, whether the ``_DONE``
-    line came), or None if ``deadline`` passes first."""
-    pieces = (text[at:min(at + _PIECE, stop)].encode()
-              for text, start, stop in parts
-              for at in range(start, stop, _PIECE))
+    """One round trip with the warm child: write ``texts`` to its stdin,
+    encoded a piece at a time, while reading its stdout and stderr until
+    the ``_DONE`` line, which is cut off, or EOF on both.  Returns (stdout,
+    stderr, whether the ``_DONE`` line came), or None if ``deadline``
+    passes first."""
+    pieces = (text[at:at + _PIECE].encode() for text in texts
+              for at in range(0, len(text), _PIECE))
     pending = memoryview(b"")
     out, err = bytearray(), bytearray()
     stdin = proc.stdin.fileno()
@@ -242,7 +238,7 @@ def _query_start(script: str) -> Optional[int]:
         at = script.find("\n" + _CHECK) + 1
         if not at:
             return None
-    if any(script.find(word, at) >= 0 for word in _LEVELS):
+    if any(script.find(word, at) >= 0 for word in _CHANGES):
         return None
     return at
 
@@ -278,23 +274,21 @@ def _ask_child(argv: list[str], script: str, deadline: float):
                 f"could not run solver {argv!r}: {exc}") from exc
         os.set_blocking(_child.stdin.fileno(), False)
     proc, reply = _child, None
-    at, end = _query_start(script), len(script)
-    if at is not None and _holds(script, at):
-        parts = (_REPUSH, (script, at, end))
-    elif at is not None and not any(script.find(word, 0, at) >= 0
-                                    for word in _PRINTS):
-        parts = (_RESET, (script, 0, at), _PUSH, (script, at, end))
-    else:
-        at, parts = None, (_RESET, (script, 0, end))
+    at = _query_start(script)
+    held = at is not None and _holds(script, at)
+    texts = (script[at:],) if held else (_RESET, script)
     try:
-        reply = _exchange(proc, (*parts, _ECHO_DONE), deadline)
+        reply = _exchange(proc, (*texts, _ECHO_DONE), deadline)
     finally:
         if reply is None or not reply[2]:
             _drop_child(0.0 if reply is None else deadline)
     if reply is None:
         return None
     if reply[2]:
-        _held = None if at is None else (script, at)
+        # hold the newest script, so that the previous one can be freed
+        quiet = held or at is not None and not any(
+            script.find(word, 0, at) >= 0 for word in _PRINTS)
+        _held = (script, at) if quiet else None
     return reply[0], reply[1], proc.returncode
 
 

@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -207,3 +208,13 @@ class TestConfigJson:
             NetworkConfig.from_json("{not json")
         with pytest.raises(ConfigError):
             NetworkConfig.from_json('{"services": []}')
+        # int() or bool() would read these as 199, 2, 1, true and 1
+        for edit in (lambda doc: doc.update(total_prbs=199.7),
+                     lambda doc: doc["slices"][0].update(t_win=2.9),
+                     lambda doc: doc.update(horizon=True),
+                     lambda doc: doc["services"][0].update(provision="false"),
+                     lambda doc: doc["partitions"].update({"1": [1, 2.0]})):
+            doc = json.loads(preset_config("3-2-4").to_json())
+            edit(doc)
+            with pytest.raises(ConfigError, match="malformed config document"):
+                NetworkConfig.from_json(json.dumps(doc))

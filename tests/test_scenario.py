@@ -159,7 +159,11 @@ class TestSerialization:
 
     @pytest.mark.parametrize("text", [
         "{", "[1]", '{"arrivals": []}', '{"seed": "x", "arrivals": [],'
-        ' "departures": []}', '{"seed": 1, "arrivals": [1], "departures": []}'])
+        ' "departures": []}', '{"seed": 1, "arrivals": [1], "departures": []}',
+        # bool() or int() would read these as an arrival, an arrival, seed 1
+        '{"seed": 1, "arrivals": [["0"]], "departures": []}',
+        '{"seed": 1, "arrivals": [[2]], "departures": []}',
+        '{"seed": 1.9, "arrivals": [], "departures": []}'])
     def test_malformed_trace_rejected(self, text):
         with pytest.raises(ScenarioError, match="malformed scenario document"):
             ScenarioTrace.from_json(text)

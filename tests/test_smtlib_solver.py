@@ -12,6 +12,7 @@ import sys
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from prbslice import smtlib_solver
 from prbslice.encoder import emit_smtlib, encode
 from prbslice.presets import PRESET_NAMES, preset_config, preset_scenario_spec
 from prbslice.solver import default_solver_command
@@ -701,34 +702,19 @@ class TestAssumptionsAndLevels:
         assert out == (f'(error "assumption {shown} is not a declared '
                        'Bool symbol or its negation")\n')
 
-    def test_pop_takes_back_assertions_and_declarations(self):
-        out, code = both_modes(
-            "(declare-const x Int)(assert (= x 1))(push 1)"
-            "(declare-const y Int)(assert (= y x))(assert (= x 2))"
-            "(check-sat)(pop 1)(check-sat)(get-model)"
-            # y is undeclared again, so it may be declared with a new sort
-            "(push 2)(declare-const y Bool)(assert y)(push 1)(assert false)"
-            "(check-sat)(pop 1)(check-sat)(pop 2)(check-sat)(get-model)")
-        assert code == 0
-        assert out == ("unsat\nsat\n(\n  (define-fun x () Int 1)\n)\n"
-                       "unsat\nsat\nsat\n(\n  (define-fun x () Int 1)\n)\n")
-
     @pytest.mark.parametrize("script, message", [
-        ("(pop 1)", "pop 1 below level 0 (at level 0)"),
-        ("(push 2)(pop 1)(pop 2)", "pop 2 below level 0 (at level 1)"),
-        ("(push)", "push takes one numeral"),
-        ("(pop -1)", "pop takes one numeral"),
+        # check-sat-assuming leaves the assertions as they were, so no
+        # assertion levels are kept: push and pop are unsupported
+        ("(pop 1)", "unsupported command 'pop'"),
+        ("(push 2)(pop 1)(pop 2)", "unsupported command 'push'"),
+        ("(push)", "unsupported command 'push'"),
+        ("(pop -1)", "unsupported command 'pop'"),
         ("(check-sat-assuming a)", "check-sat-assuming takes one list of "
                                    "literals"),
     ], ids=["below-zero", "below-zero-after-push", "no-numeral", "negative",
             "no-list"])
     def test_bad_level_or_query_is_an_error(self, script, message):
         assert both_modes(script) == (f'(error "{message}")\n', 3)
-
-    def test_reset_clears_the_levels(self):
-        out, code = both_modes("(push 1)(reset)(pop 1)")
-        assert (out, code) == ('(error "pop 1 below level 0 (at level 0)")\n',
-                               3)
 
 
 class TestStatistics:
@@ -978,6 +964,34 @@ class TestMainEntry:
             [sys.executable, "-m", "prbslice.smtlib_solver", str(path)],
             capture_output=True, text=True)
         assert proc.stdout.strip() == "unsat"
+
+    def test_documented_commands_are_the_supported_ones(self):
+        listed = re.search(r"Supported commands: ([^.]*)\.",
+                           smtlib_solver.__doc__)[1]
+        listed = [cmd.split()[0] for cmd in listed.split(",")]
+        # one script per command that runs it
+        runs = {
+            "set-logic": "(set-logic QF_LIA)",
+            "set-info": "(set-info :status sat)",
+            "set-option": "(set-option :produce-models true)",
+            "declare-const": "(declare-const a Bool)",
+            "declare-fun": "(declare-fun a () Bool)",
+            "assert": "(assert true)",
+            "check-sat": "(check-sat)",
+            "check-sat-assuming": "(declare-const a Bool)"
+                                  "(check-sat-assuming (a))",
+            "get-model": "(check-sat)(get-model)",
+            "get-info": "(get-info :all-statistics)",
+            "echo": '(echo "hi")',
+            "reset": "(reset)",
+            "exit": "(exit)",
+        }
+        assert sorted(listed) == sorted(runs)
+        for cmd in listed:
+            assert both_modes(runs[cmd])[1] == 0, cmd
+        for cmd in ("push", "pop"):
+            assert both_modes(f"({cmd} 1)") == (
+                f"(error \"unsupported command '{cmd}'\")\n", 3)
 
     def test_unsupported_command_reports_error(self):
         proc = subprocess.run(
