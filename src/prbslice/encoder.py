@@ -34,6 +34,8 @@ and the script has exactly one model under the assumptions, which a solver
 that reads it in order decides term by term on its first visit.  The
 layout and its rendered text are built once per config and reused (a
 one-entry cache), so a new scenario costs only its literals.
+``layout_text()`` gives that text; the solver's warm child holds it
+between solves and is then sent only what follows it.
 
 Integer variables use the Int sort (every quantity is a count), booleans the
 Bool sort.  A per-slice auxiliary Int holds the residual value after the
@@ -140,6 +142,12 @@ def encode(config: NetworkConfig, scenario: ScenarioTrace) -> ConstraintSet:
             literals.append(_literal(v_lv(sl.slice_id, j), flag))
     return ConstraintSet(layout.declarations, layout.assertions,
                          tuple(literals))
+
+
+def layout_text() -> Optional[str]:
+    """The rendered text of the last encoded layout, up to its check-sat
+    command, or None before the first ``encode``."""
+    return None if _last_layout is None else _last_layout.text
 
 
 def _literal(name: str, flag) -> str:

@@ -371,14 +371,9 @@ def partition_adjust(
 
 def residual_adjust(pt_prev: Sequence[int], pt_now: Sequence[int],
                     rp_prev: int) -> int:
-    """Net the partition deltas against the residual partition."""
-    raised = sum(now - prev for prev, now in zip(pt_prev, pt_now) if now > prev)
-    freed = sum(prev - now for prev, now in zip(pt_prev, pt_now) if now < prev)
-    if raised > freed:
-        return rp_prev - (raised - freed)
-    if freed > raised:
-        return rp_prev + (freed - raised)
-    return rp_prev
+    """Net the partition deltas against the residual partition: what the
+    partitions gained in total comes out of it, what they freed goes in."""
+    return rp_prev - (sum(pt_now) - sum(pt_prev))
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,11 @@ class DistributionSpec:
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ScenarioError(f"unknown distribution kind {self.kind!r}")
+        for name, value in (*self.params.items(),
+                            ("threshold", self.threshold)):
+            if type(value) not in (int, float) or not math.isfinite(value):
+                raise ScenarioError(f"{self.kind} {name} must be a finite "
+                                    f"number, got {value!r}")
         if not 0 < self.threshold < 1:
             raise ScenarioError(
                 f"threshold must lie strictly in (0, 1), got {self.threshold}"
@@ -73,7 +78,7 @@ class DistributionSpec:
     @classmethod
     def from_dict(cls, doc: Mapping) -> "DistributionSpec":
         return cls(kind=doc["kind"], params=dict(doc["params"]),
-                   threshold=float(doc["threshold"]))
+                   threshold=doc["threshold"])
 
 
 def _flag(value) -> bool:
@@ -145,6 +150,9 @@ class ScenarioSpec:
     per_service: Mapping[int, DistributionSpec]
     departure_rate: float
 
+    def __post_init__(self) -> None:
+        check_departure_rate(self.departure_rate)
+
     def generate(self, config: NetworkConfig, seed: int) -> "ScenarioTrace":
         return gen_scenario(config, self.per_service, self.departure_rate, seed)
 
@@ -214,6 +222,13 @@ def check_coverage(config: NetworkConfig,
         raise ScenarioError(f"no distribution spec for services {missing}")
 
 
+def check_departure_rate(rate: float) -> None:
+    """Raise unless ``rate`` is a departure coin rate in [0, 1]."""
+    if not 0 <= rate <= 1:
+        raise ScenarioError(
+            f"departure_rate must lie in [0, 1], got {rate!r}")
+
+
 def gen_scenario(
     config: NetworkConfig,
     per_service: Mapping[int, DistributionSpec],
@@ -230,8 +245,7 @@ def gen_scenario(
     from .oracle import ForwardSimulator  # local import, avoids module cycle
 
     check_coverage(config, per_service)
-    if not 0 <= departure_rate <= 1:
-        raise ScenarioError("departure_rate must lie in [0, 1]")
+    check_departure_rate(departure_rate)
 
     horizon = config.horizon
     arrivals = tuple(

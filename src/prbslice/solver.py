@@ -13,23 +13,24 @@ this module reads every reply itself, z3's and cvc5's default model output
 included, and reaches the bundled solver only as a process.
 
 Each process keeps one child of the bundled solver, which holds the
-assertions of the last script between solves.  A script's prefix is the
-text before its first line that begins with ``(check-sat``, its query the
-rest: for an encoded cell, the layout and the scenario's
-``check-sat-assuming`` literals.  If the child holds a prefix equal to the
-script's, it is sent the query alone; else ``(reset)`` and the whole
-script, after which it holds the script's prefix unless the prefix prints
-(``check-sat``, ``get-`` or ``echo`` in it).  A query that would change
-what the child holds (``assert``, ``declare`` or ``reset`` in it) leaves
-no prefix held.  An ``echo`` whose line ends the reply comes last.  A
-timeout kills and reaps the child, and a child that exits, or that was
-launched for another command line, is reaped; either way the held prefix
-is forgotten and the next solve launches a new child.  An at-fork hook
-makes a forked process forget the inherited child and its prefix (the
-child stays its parent's), so the forked process launches its own.  An
-``atexit`` hook closes the child's stdin and waits a moment before killing
-it.  Any other command is one-shot: it runs through ``subprocess.run``
-with the script on stdin, and a timeout kills and reaps it.
+encoder's layout between solves: the text ``encoder.layout_text()`` gives
+for the last encoded config, which only declares and asserts.  A script
+that begins with the held layout is sent only the rest, for an encoded
+cell the scenario's ``check-sat-assuming`` literals and ``(get-model)``.
+Any other script is sent whole after ``(reset)``, after which the child
+holds the last encoded layout if the script begins with it.  A script
+that does not (a hand-written one, or one of an earlier config), or
+whose rest would change what the child holds (``assert``, ``declare`` or
+``reset`` in it), leaves no layout held.  An ``echo`` whose line ends
+the reply comes last.  A timeout kills and reaps the child, and a child
+that exits, or that was launched for another command line, is reaped;
+either way the held layout is forgotten and the next solve launches a
+new child.  An at-fork hook makes a forked process forget the inherited
+child and its layout (the child stays its parent's), so the forked
+process launches its own.  An ``atexit`` hook closes the child's stdin
+and waits a moment before killing it.  Any other command is one-shot: it
+runs through ``subprocess.run`` with the script on stdin, and a timeout
+kills and reaps it.
 """
 
 from __future__ import annotations
@@ -48,8 +49,8 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 from .encoder import (
-    v_en, v_ew, v_lv, v_ovr, v_pt, v_ramp, v_resi, v_rp, v_shr, v_top,
-    v_usg, v_usr,
+    layout_text, v_en, v_ew, v_lv, v_ovr, v_pt, v_ramp, v_resi, v_rp, v_shr,
+    v_top, v_usg, v_usr,
 )
 from .model import NetworkConfig
 from .oracle import AllocationTrace, SliceState, SystemState
@@ -134,11 +135,9 @@ def _read_reply(stdout: str) -> tuple[Optional[str], Optional[dict]]:
     return "sat", model
 
 
-# The bundled solver's child is sent the query of a held prefix, or the
+# The bundled solver's child is sent what follows a held layout, or the
 # script after a (reset); the line it echoes last ends its reply.
-_CHECK = "(check-sat"
-_PRINTS = ("check-sat", "get-", "echo")     # a prefix with one is not held
-_CHANGES = ("assert", "declare", "reset")   # nor one whose query has one
+_CHANGES = ("assert", "declare", "reset")   # not held if the rest has one
 _DONE = "prbslice-solve-done"
 _RESET = "(reset)\n"
 _ECHO_DONE = f'\n(echo "{_DONE}")\n'
@@ -148,11 +147,11 @@ _EXIT_GRACE_S = 1.0             # wait for an idle child to exit at EOF
 
 _child: Optional[subprocess.Popen] = None   # this process's warm child
 _child_lock = threading.Lock()              # threads take turns with it
-_held: Optional[tuple[str, int]] = None     # (script, prefix length) held
+_held: Optional[str] = None                 # the layout text it holds
 
 
 def _forget_child() -> None:
-    """In a forked process: the inherited child, the prefix it holds and
+    """In a forked process: the inherited child, the layout it holds and
     the lock are the parent's, so start with none of them."""
     global _child, _child_lock, _held
     _child, _child_lock, _held = None, threading.Lock(), None
@@ -230,36 +229,20 @@ def _exchange(proc: subprocess.Popen, texts: Sequence[str],
     return out.decode(errors="replace"), err.decode(errors="replace"), False
 
 
-def _query_start(script: str) -> Optional[int]:
-    """Where the script's query starts, if its prefix may be held."""
-    if script.startswith(_CHECK):
-        at = 0
-    else:
-        at = script.find("\n" + _CHECK) + 1
-        if not at:
-            return None
-    if any(script.find(word, at) >= 0 for word in _CHANGES):
-        return None
-    return at
-
-
-def _holds(script: str, at: int) -> bool:
-    """Whether the child holds a prefix equal to ``script[:at]``, compared
-    a piece at a time so that neither is copied whole."""
-    if _held is None or _held[1] != at:
-        return False
-    held = _held[0]
-    return held is script or all(
-        script[i:min(i + _PIECE, at)] == held[i:min(i + _PIECE, at)]
-        for i in range(0, at, _PIECE))
+def _follows(script: str, layout: Optional[str]) -> bool:
+    """Whether ``script`` is ``layout`` and then commands that leave what
+    the child holds as it was."""
+    return layout is not None and script.startswith(layout) and not any(
+        script.find(word, len(layout)) >= 0 for word in _CHANGES)
 
 
 def _ask_child(argv: list[str], script: str, deadline: float):
     """Send the script to the warm child, launching it first if there is
-    none for ``argv`` or it has exited: only the query if the child holds
-    the script's prefix.  A child that timed out, exited or raised is
-    dropped, so the next solve launches a new one.  Returns (stdout,
-    stderr, exit status or None), or None at the deadline."""
+    none for ``argv`` or it has exited: only what follows the layout if
+    the child holds the layout the script begins with.  A child that
+    timed out, exited or raised is dropped, so the next solve launches a
+    new one.  Returns (stdout, stderr, exit status or None), or None at
+    the deadline."""
     global _child, _held
     if _child is not None and (_child.args != argv
                                or _child.poll() is not None):
@@ -274,9 +257,8 @@ def _ask_child(argv: list[str], script: str, deadline: float):
                 f"could not run solver {argv!r}: {exc}") from exc
         os.set_blocking(_child.stdin.fileno(), False)
     proc, reply = _child, None
-    at = _query_start(script)
-    held = at is not None and _holds(script, at)
-    texts = (script[at:],) if held else (_RESET, script)
+    held = _follows(script, _held)
+    texts = (script[len(_held):],) if held else (_RESET, script)
     try:
         reply = _exchange(proc, (*texts, _ECHO_DONE), deadline)
     finally:
@@ -284,11 +266,9 @@ def _ask_child(argv: list[str], script: str, deadline: float):
             _drop_child(0.0 if reply is None else deadline)
     if reply is None:
         return None
-    if reply[2]:
-        # hold the newest script, so that the previous one can be freed
-        quiet = held or at is not None and not any(
-            script.find(word, 0, at) >= 0 for word in _PRINTS)
-        _held = (script, at) if quiet else None
+    if reply[2] and not held:
+        layout = layout_text()
+        _held = layout if _follows(script, layout) else None
     return reply[0], reply[1], proc.returncode
 
 

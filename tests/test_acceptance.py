@@ -19,7 +19,12 @@ from prbslice.model import (
     max_window_usage,
     nominal_throughput,
 )
-from prbslice.oracle import partition_adjust, residual_adjust, simulate
+from prbslice.oracle import (
+    diff_traces,
+    partition_adjust,
+    residual_adjust,
+    simulate,
+)
 from prbslice.presets import PRESET_NAMES, preset_config, preset_scenario_spec
 from prbslice.properties import baseline_overprovision, check_all, compute_metrics
 
@@ -153,6 +158,20 @@ def test_criterion_9_solver_runtime(batch):
     report = ", ".join(f"{k}: {v:.1f}s" for k, v in sorted(others.items()))
     print(f"CRITERION 9: PASS - 3-2-4 solves in {max(times):.1f}s worst case "
           f"(<120s); larger layouts reported, not asserted ({report})")
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_differential_at_the_overuse_floor(seed):
+    # at 100 PRBs the residual share of 5-3-10 falls to the overuse floor,
+    # which the 200-PRB batch never reaches, so the rp_ovr rule is tested
+    config = preset_config("5-3-10", total_prbs=100, horizon=30)
+    scenario = preset_scenario_spec("5-3-10").generate(config, seed)
+    run = run_pipeline(config, scenario, "differential", None, 600)
+    assert any(st.rp_shr == config.overuse_floor
+               for st in run.oracle_trace.states[:-1])
+    assert run.verdict.status == "sat"
+    assert diff_traces(run.oracle_trace, run.smt_trace) == []
+    assert check_all(run.smt_trace, config).all_passed
 
 
 def test_criterion_10_baseline_dominance():

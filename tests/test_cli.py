@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import math
 import re
 from pathlib import Path
 
@@ -38,6 +39,14 @@ def starved_config() -> str:
     events drive the residual share below zero at timestep 24."""
     doc = json.loads(Path(C324).read_text())
     doc.update(total_prbs=30, horizon=60, overuse_fraction="1/50")
+    return json.dumps(doc)
+
+
+def spec_with(service: str, **params) -> str:
+    """The 3-2-4 scenario spec with ``params`` set on one service; JSON's
+    ``Infinity`` and ``NaN`` stand for the non-finite floats."""
+    doc = json.loads(Path(C324).with_suffix(".scenario.json").read_text())
+    doc["per_service"][service]["params"].update(params)
     return json.dumps(doc)
 
 
@@ -256,6 +265,14 @@ class TestMalformedInput:
                      id="gen-spec-without-per-service"),
         pytest.param("compare", b"[1]", ["--scenario", "BAD"],
                      id="compare-scenario-not-an-object"),
+        pytest.param("run", spec_with("1", sigma=math.inf).encode(),
+                     ["--seed", "1", "--mode", "differential",
+                      "--scenario-spec", "BAD"],
+                     id="run-spec-sigma-infinity"),
+        pytest.param("run", spec_with("2", mu=math.nan).encode(),
+                     ["--seed", "1", "--mode", "differential",
+                      "--scenario-spec", "BAD"],
+                     id="run-spec-mu-nan"),
         pytest.param("run", starved_config().encode(),
                      ["--seed", "1", "--config", "BAD"],
                      id="run-generated-scenario-rejected"),
@@ -344,6 +361,21 @@ class TestSweep:
         assert code == EXIT_VALIDATION
         assert capsys.readouterr().err == (
             "validation error: no distribution spec for services [2, 3]\n")
+        assert not out.exists()
+
+    def test_non_finite_spec_parameter_is_a_validation_error(self, tmp_path,
+                                                             capsys):
+        config = tmp_path / "config_3_2_4.json"
+        config.write_text(Path(C324).read_text())
+        (tmp_path / "config_3_2_4.scenario.json").write_text(
+            spec_with("3", rate=math.nan))
+        out = tmp_path / "sweep.csv"
+        code = main(["sweep", "--config", str(config),
+                     "--total-prbs", "200", "--seeds", "2",
+                     "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err == ("validation error: poisson rate "
+                                           "must be a finite number, got nan\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("command, option, value", [

@@ -178,6 +178,29 @@ class TestSerialization:
                            match="malformed scenario spec document"):
             ScenarioSpec.from_json(text)
 
+    @pytest.mark.parametrize("service, rate, match", [
+        ('"lognormal", "params": {"sigma": Infinity}, "threshold": 0.4',
+         0.1, "lognormal sigma must be a finite number, got inf"),
+        ('"lognormal", "params": {"mu": NaN, "sigma": 1}, "threshold": 0.4',
+         0.1, "lognormal mu must be a finite number, got nan"),
+        ('"poisson", "params": {"rate": NaN}, "threshold": 0.2',
+         0.1, "poisson rate must be a finite number, got nan"),
+        ('"bernoulli", "params": {"p": true}, "threshold": 0.5',
+         0.1, "bernoulli p must be a finite number, got True"),
+        ('"bernoulli", "params": {"p": 0.5}, "threshold": "0.5"',
+         0.1, "bernoulli threshold must be a finite number, got '0.5'"),
+        ('"bernoulli", "params": {"p": 0.5}, "threshold": 0.5',
+         "NaN", r"departure_rate must lie in \[0, 1\], got nan"),
+        ('"bernoulli", "params": {"p": 0.5}, "threshold": 0.5',
+         1.5, r"departure_rate must lie in \[0, 1\], got 1.5"),
+    ], ids=["sigma-inf", "mu-nan", "rate-nan", "p-bool", "threshold-string",
+            "departure-nan", "departure-above-1"])
+    def test_spec_value_rejected_at_load(self, service, rate, match):
+        text = (f'{{"per_service": {{"1": {{"kind": {service}}}}}, '
+                f'"departure_rate": {rate}}}')
+        with pytest.raises(ScenarioError, match=match):
+            ScenarioSpec.from_json(text)
+
     def test_spec_parameter_rule_kept(self):
         text = ('{"per_service": {"1": {"kind": "poisson", "params": '
                 '{"rate": 0}, "threshold": 0.5}}, "departure_rate": 0.1}')

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from prbslice import solver
-from prbslice.encoder import encode, emit_smtlib
+from prbslice.encoder import encode, emit_smtlib, layout_text
 from prbslice.oracle import diff_traces, simulate
 from prbslice.presets import preset_config, preset_scenario_spec
 from prbslice.scenario import ScenarioTrace
@@ -311,6 +311,21 @@ class TestHeldLayout:
             assert warm.status == once.status == "sat"
             assert warm.model == once.model
         assert resets(sent) == [True] + [False] * 4
+
+    def test_hit_sends_what_follows_the_layout(self, sent):
+        for seed in (1, 2):
+            script = cell_script("3-3-7", seed)
+            assert solve(script).status == "sat"
+        assert solver._held is layout_text()
+        assert sent[1] == script[len(layout_text()):] + solver._ECHO_DONE
+
+    def test_layout_with_an_assertion_after_it_is_not_held(self, sent):
+        assert solve(cell_script("3-2-4", 1)).status == "sat"
+        script = layout_text() + "(assert false)\n(check-sat)\n"
+        assert solve(script).status == "unsat"
+        assert solver._held is None
+        assert solve(cell_script("3-2-4", 2)).status == "sat"
+        assert resets(sent) == [True, True, True]
 
 
 class TestAtFork:
