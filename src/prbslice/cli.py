@@ -171,7 +171,6 @@ STATUS_MAP = {
 # is written exactly when its stage ran
 ARTIFACTS = (
     ("trace.csv", "oracle_trace", AllocationTrace.to_csv),
-    ("trace.json", "oracle_trace", AllocationTrace.to_json),
     ("model.smt2", "script", str),
     ("verdict.json", "verdict", lambda v: json.dumps(
         {"status": v.status, "wall_time": v.wall_time}, indent=2)),

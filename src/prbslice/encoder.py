@@ -80,10 +80,6 @@ class ConstraintSet:
     assertions: tuple[tuple[str, str], ...]     # (tag, formula)
     assumptions: tuple[str, ...] = ()           # flag or (not flag)
 
-    @property
-    def assertion_count(self) -> int:
-        return len(self.assertions)
-
 
 # -- variable naming --------------------------------------------------------
 

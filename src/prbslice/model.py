@@ -33,11 +33,13 @@ class BudgetError(ConfigError):
     PRB budget."""
 
 
-def json_field(value, kind: type):
-    """``value`` if its JSON type is exactly ``kind``: ``int()`` or
-    ``bool()`` would truncate 2.9, read true as 1 or "false" as true."""
-    if type(value) is not kind:
-        raise TypeError(f"expected {kind.__name__}, got {value!r}")
+def json_field(value, *kinds: type):
+    """``value`` if its JSON type is exactly one of ``kinds``: ``int()``,
+    ``float()`` or ``bool()`` would truncate 2.9, read true as 1 or "false"
+    as true."""
+    if type(value) not in kinds:
+        names = " or ".join(kind.__name__ for kind in kinds)
+        raise TypeError(f"expected {names}, got {value!r}")
     return value
 
 

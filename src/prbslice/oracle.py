@@ -15,14 +15,14 @@ One step runs a fixed pipeline:
 6. the residual partition absorbs the net partition deltas.
 
 The trace this produces is the ground truth that the SMT-decoded trace is
-compared against, state for state.
+compared against, state for state, in memory.  A trace has one text form,
+the CSV of ``AllocationTrace.to_csv``; no code reads a trace back.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
@@ -117,22 +117,12 @@ def signal_exclusion(st: SystemState) -> Optional[str]:
             return f"slice {idx + 1}: top and ramp both raised"
 
 
-def _slice_state(fields: Mapping) -> SliceState:
-    """A slice's variables from a trace CSV row or JSON object, whose
-    numbers may be text and whose flags are 0/1."""
-    return SliceState(
-        usr=int(fields["usr"]), shr=int(fields["shr"]), usg=int(fields["usg"]),
-        resi=int(fields["resi"]), entries=int(fields["entries"]),
-        en=bool(int(fields["en"])), lv=bool(int(fields["lv"])),
-        top=bool(int(fields["top"])), ramp=bool(int(fields["ramp"])))
-
-
 @dataclass(frozen=True)
 class AllocationTrace:
     """States for j = 0..T plus references to what produced them."""
 
     config: NetworkConfig
-    scenario: Optional["ScenarioTrace"]
+    scenario: "ScenarioTrace"
     states: tuple[SystemState, ...]
 
     def to_csv(self) -> str:
@@ -148,62 +138,6 @@ class AllocationTrace:
                     st.pt_shr[k - 1], st.rp_shr, int(st.rp_ovr),
                 ])
         return out.getvalue()
-
-    @classmethod
-    def from_csv(cls, text: str, config: NetworkConfig) -> "AllocationTrace":
-        reader = csv.DictReader(io.StringIO(text))
-        rows_by_j: dict[int, dict[int, dict]] = {}
-        for row in reader:
-            rows_by_j.setdefault(int(row["j"]), {})[int(row["slice_id"])] = row
-        states = []
-        for j in sorted(rows_by_j):
-            rows = rows_by_j[j]
-            slices = tuple(_slice_state(rows[i])
-                           for i in range(1, config.num_slices + 1))
-            pt = [0] * config.num_partitions
-            for i, sl in enumerate(config.slices, start=1):
-                pt[sl.partition_id - 1] = int(rows[i]["pt_shr"])
-            any_row = rows[1]
-            states.append(SystemState(
-                j=j, slices=slices, pt_shr=tuple(pt),
-                rp_shr=int(any_row["rp_shr"]),
-                rp_ovr=bool(int(any_row["rp_ovr"])),
-            ))
-        check_timesteps(states, config.horizon)
-        return cls(config=config, scenario=None, states=tuple(states))
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "states": [
-                {
-                    "j": st.j,
-                    "slices": [vars(sl) | {
-                        "en": int(sl.en), "lv": int(sl.lv),
-                        "top": int(sl.top), "ramp": int(sl.ramp)}
-                        for sl in st.slices],
-                    "pt_shr": list(st.pt_shr),
-                    "rp_shr": st.rp_shr,
-                    "rp_ovr": int(st.rp_ovr),
-                }
-                for st in self.states
-            ]
-        }, indent=1)
-
-    @classmethod
-    def from_json(cls, text: str, config: NetworkConfig) -> "AllocationTrace":
-        doc = json.loads(text)
-        states = tuple(
-            SystemState(
-                j=int(s["j"]),
-                slices=tuple(_slice_state(d) for d in s["slices"]),
-                pt_shr=tuple(int(v) for v in s["pt_shr"]),
-                rp_shr=int(s["rp_shr"]),
-                rp_ovr=bool(s["rp_ovr"]),
-            )
-            for s in doc["states"]
-        )
-        check_timesteps(states, config.horizon)
-        return cls(config=config, scenario=None, states=states)
 
 
 def diff_traces(a: AllocationTrace, b: AllocationTrace) -> list[str]:

@@ -268,11 +268,9 @@ def compute_metrics(trace: AllocationTrace,
                 ramps[idx + 1] += 1
 
     blocked = 0
-    if trace.scenario is not None:
-        for j in range(1, len(states)):
-            if states[j].rp_ovr:
-                blocked += sum(
-                    1 for row in trace.scenario.arrivals if row[j - 1])
+    for j in range(1, len(states)):
+        if states[j].rp_ovr:
+            blocked += sum(1 for row in trace.scenario.arrivals if row[j - 1])
 
     return MetricsBundle(
         residual_share=tuple(st.rp_shr for st in states),

@@ -9,8 +9,10 @@ and the poisson mass ``exp(k * ln(rate) - rate - lgamma(k + 1))``.
 Departures are per-slice coin flips, filtered during a replay of the
 allocation semantics so a departure never fires on an empty slice.
 
-Everything is a pure function of (spec, seed): the same inputs always give a
-bit-identical trace.
+``ScenarioSpec.generate`` is the one generator, a pure function of (spec,
+config, seed): the same inputs always give a bit-identical trace.  A spec's
+distribution parameters, thresholds and departure rate must be JSON numbers;
+a bool or a string fails at load.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -97,10 +99,6 @@ class ScenarioTrace:
     arrivals: tuple[tuple[bool, ...], ...]
     departures: tuple[tuple[bool, ...], ...]
 
-    @property
-    def horizon(self) -> int:
-        return len(self.arrivals[0]) if self.arrivals else 0
-
     def check_dimensions(self, config: NetworkConfig) -> None:
         if len(self.arrivals) != config.num_services:
             raise ScenarioError(
@@ -151,10 +149,55 @@ class ScenarioSpec:
     departure_rate: float
 
     def __post_init__(self) -> None:
-        check_departure_rate(self.departure_rate)
+        if not 0 <= self.departure_rate <= 1:
+            raise ScenarioError(f"departure_rate must lie in [0, 1], "
+                                f"got {self.departure_rate!r}")
 
-    def generate(self, config: NetworkConfig, seed: int) -> "ScenarioTrace":
-        return gen_scenario(config, self.per_service, self.departure_rate, seed)
+    def generate(self, config: NetworkConfig, seed: int) -> ScenarioTrace:
+        """Generate a full admissible scenario for ``config``.
+
+        Departure coins are drawn independently per slice at
+        ``departure_rate`` and dropped whenever the replayed occupancy of the
+        slice is zero, so the forward simulator can treat an empty-slice
+        departure as a hard contract violation.
+        """
+        from .oracle import ForwardSimulator  # local import, avoids module cycle
+
+        check_coverage(config, self.per_service)
+
+        horizon = config.horizon
+        arrivals = tuple(
+            tuple(gen_arrivals(
+                self.per_service[svc.service_id],
+                _derive_seed(seed, _ARRIVAL_STREAM, svc.service_id), horizon))
+            for svc in config.services
+        )
+        coins = []
+        for sl in config.slices:
+            rng = np.random.default_rng(
+                _derive_seed(seed, _DEPARTURE_STREAM, sl.slice_id))
+            coins.append(rng.random(horizon) < self.departure_rate)
+
+        # Replay the allocation semantics step by step; a coin only becomes
+        # a departure if the slice held at least one user at the previous
+        # step.
+        sim = ForwardSimulator(config)
+        state = sim.initial_state()
+        departures: list[list[bool]] = [[] for _ in range(config.num_slices)]
+        for j in range(1, horizon + 1):
+            step_arrivals = [row[j - 1] for row in arrivals]
+            step_departs = []
+            for idx in range(config.num_slices):
+                fire = bool(coins[idx][j - 1]) and state.slices[idx].usr >= 1
+                departures[idx].append(fire)
+                step_departs.append(fire)
+            state = sim.step(state, step_arrivals, step_departs)
+
+        return ScenarioTrace(
+            seed=seed,
+            arrivals=arrivals,
+            departures=tuple(tuple(row) for row in departures),
+        )
 
     def to_json(self) -> str:
         return json.dumps(
@@ -173,7 +216,8 @@ class ScenarioSpec:
             return cls(
                 per_service={int(mu): DistributionSpec.from_dict(d)
                              for mu, d in doc["per_service"].items()},
-                departure_rate=float(doc["departure_rate"]),
+                departure_rate=json_field(doc["departure_rate"],
+                                          int, float),
             )
         except ScenarioError:
             raise
@@ -220,62 +264,3 @@ def check_coverage(config: NetworkConfig,
                if s.service_id not in per_service]
     if missing:
         raise ScenarioError(f"no distribution spec for services {missing}")
-
-
-def check_departure_rate(rate: float) -> None:
-    """Raise unless ``rate`` is a departure coin rate in [0, 1]."""
-    if not 0 <= rate <= 1:
-        raise ScenarioError(
-            f"departure_rate must lie in [0, 1], got {rate!r}")
-
-
-def gen_scenario(
-    config: NetworkConfig,
-    per_service: Mapping[int, DistributionSpec],
-    departure_rate: float,
-    seed: int,
-) -> ScenarioTrace:
-    """Generate a full admissible scenario for ``config``.
-
-    Departure coins are drawn independently per slice at ``departure_rate``
-    and dropped whenever the replayed occupancy of the slice is zero, so the
-    forward simulator can treat an empty-slice departure as a hard contract
-    violation.
-    """
-    from .oracle import ForwardSimulator  # local import, avoids module cycle
-
-    check_coverage(config, per_service)
-    check_departure_rate(departure_rate)
-
-    horizon = config.horizon
-    arrivals = tuple(
-        tuple(gen_arrivals(per_service[svc.service_id],
-                           _derive_seed(seed, _ARRIVAL_STREAM, svc.service_id),
-                           horizon))
-        for svc in config.services
-    )
-    coins = []
-    for sl in config.slices:
-        rng = np.random.default_rng(
-            _derive_seed(seed, _DEPARTURE_STREAM, sl.slice_id))
-        coins.append(rng.random(horizon) < departure_rate)
-
-    # Replay the allocation semantics step by step; a coin only becomes a
-    # departure if the slice held at least one user at the previous step.
-    sim = ForwardSimulator(config)
-    state = sim.initial_state()
-    departures: list[list[bool]] = [[] for _ in range(config.num_slices)]
-    for j in range(1, horizon + 1):
-        step_arrivals = [row[j - 1] for row in arrivals]
-        step_departs = []
-        for idx in range(config.num_slices):
-            fire = bool(coins[idx][j - 1]) and state.slices[idx].usr >= 1
-            departures[idx].append(fire)
-            step_departs.append(fire)
-        state = sim.step(state, step_arrivals, step_departs)
-
-    return ScenarioTrace(
-        seed=seed,
-        arrivals=arrivals,
-        departures=tuple(tuple(row) for row in departures),
-    )

@@ -20,6 +20,7 @@ from prbslice.solver import solve
 
 CONFIGS = Path(__file__).parent.parent / "src" / "prbslice" / "configs"
 C324 = str(CONFIGS / "config_3_2_4.json")
+C5310 = str(CONFIGS / "config_5_3_10.json")
 C5413 = str(CONFIGS / "config_5_4_13.json")
 
 
@@ -73,8 +74,8 @@ class TestRun:
         code = main(["run", "--config", C324, "--seed", "1",
                      "--mode", "oracle", "--out", str(out)])
         assert code == EXIT_OK
-        for name in ("trace.csv", "trace.json", "metrics.json",
-                     "metrics.csv", "properties.json", "properties.csv"):
+        for name in ("trace.csv", "metrics.json", "metrics.csv",
+                     "properties.json", "properties.csv"):
             assert (out / name).exists(), name
         report = json.loads((out / "properties.json").read_text())
         assert all(entry["passed"] for entry in report.values())
@@ -121,14 +122,32 @@ class TestRun:
         assert main(["run", "--config", C324, "--seed", "3",
                      "--horizon", "10", "--out", str(out)]) == EXIT_OK
         from prbslice.model import NetworkConfig
-        from prbslice.oracle import AllocationTrace
+        from prbslice.oracle import simulate
+        from prbslice.presets import preset_scenario_spec
 
         config = NetworkConfig.from_json((out / "config.json").read_text())
         assert config.horizon == 10
-        AllocationTrace.from_csv((out / "trace.csv").read_text(), config)
+        scenario = preset_scenario_spec("3-2-4").generate(config, 3)
+        assert ((out / "trace.csv").read_bytes()
+                == simulate(config, scenario).to_csv().encode())
         json.loads((out / "metrics.json").read_text())
         assert read_rows(out / "metrics.csv")
         assert read_rows(out / "properties.csv")
+
+    def test_blocked_entries_on_the_solver_path(self, tmp_path):
+        # at 100 PRBs, 5-3-10 seed 1 drives the residual share below its
+        # floor, so arrivals are blocked: the metrics of the decoded SMT
+        # trace count them exactly as the simulator's do
+        for mode in ("smt", "oracle"):
+            assert main(["run", "--config", C5310, "--seed", "1",
+                         "--total-prbs", "100", "--horizon", "30",
+                         "--mode", mode, "--out", str(tmp_path / mode)]) \
+                == EXIT_OK
+        for name in ("metrics.json", "metrics.csv"):
+            assert ((tmp_path / "smt" / name).read_bytes()
+                    == (tmp_path / "oracle" / name).read_bytes()), name
+        metrics = json.loads((tmp_path / "smt" / "metrics.json").read_text())
+        assert metrics["blocked_entries"] == 14
 
     def test_property_failure_exit_code(self, tmp_path, monkeypatch):
         from prbslice.properties import InvariantResult, PropertyReport
@@ -574,8 +593,6 @@ def sha256(path):
 ARTIFACT_SHA256 = {
     "trace.csv": "0a8ee14c062e85d2452245e0088ed359"
                  "338736e66e9fb56e2ed83f37d03ca0eb",
-    "trace.json": "e89628c6eeeb66fe391c5066c67a9027"
-                  "5605881039fe04e818ecbd428654f71f",
     "model.smt2": "b75f94d92559d150fe38202b381a6f14"
                   "f5b189c099ded8607dae6973b7353e87",
     "verdict.json": "9056fd9b7c79762c42bc0ec666bb4e12"
@@ -595,7 +612,7 @@ ARTIFACT_SHA256 = {
 }
 REPORTS = {"properties.json", "properties.csv", "metrics.json", "metrics.csv"}
 MODE_ARTIFACTS = {
-    "oracle": {"trace.csv", "trace.json"} | REPORTS,
+    "oracle": {"trace.csv"} | REPORTS,
     "smt": {"model.smt2", "verdict.json", "smt_trace.csv"} | REPORTS,
     "differential": set(ARTIFACT_SHA256),
 }
@@ -669,10 +686,10 @@ class TestArtifactPins:
     @pytest.mark.parametrize("mode, solver, code, written", [
         ("smt", "definitely-not-a-solver-xyz", EXIT_SOLVER, {"model.smt2"}),
         ("differential", "definitely-not-a-solver-xyz", EXIT_SOLVER,
-         {"trace.csv", "trace.json", "model.smt2"}),
+         {"trace.csv", "model.smt2"}),
         ("smt", "echo unsat", EXIT_SOLVER, {"model.smt2", "verdict.json"}),
         ("differential", "echo unknown", EXIT_SOLVER,
-         {"trace.csv", "trace.json", "model.smt2", "verdict.json"}),
+         {"trace.csv", "model.smt2", "verdict.json"}),
     ])
     def test_solver_failure_artifacts(self, tmp_path, mode, solver, code,
                                       written):

@@ -94,7 +94,7 @@ class TestEncode:
     def test_count_bound(self, small_run):
         config, scenario, _ = small_run
         cs = encode(config, scenario)
-        assert cs.assertion_count <= BOUND_MULTIPLIER * 1770
+        assert len(cs.assertions) <= BOUND_MULTIPLIER * 1770
 
     def test_tags_vocabulary(self, small_run):
         config, scenario, _ = small_run

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from prbslice.model import ConfigError, nominal_throughput
-from prbslice.oracle import AllocationTrace, simulate
+from prbslice.oracle import simulate
 from prbslice.presets import preset_config
 from prbslice.properties import (
     ALL_INVARIANTS,
@@ -65,29 +65,6 @@ class TestCheckAllPasses:
 
 
 class TestTimesteps:
-    def test_csv_missing_a_timestep_rejected(self, small_run):
-        config, _, trace = small_run
-        lines = trace.to_csv().splitlines(keepends=True)
-        kept = [ln for ln in lines if not ln.startswith("5,")]
-        assert len(kept) == len(lines) - config.num_slices
-        with pytest.raises(ValueError, match=r"missing j = \[5\]"):
-            AllocationTrace.from_csv("".join(kept), config)
-
-    def test_csv_missing_the_last_timestep_rejected(self, small_run):
-        config, _, trace = small_run
-        lines = trace.to_csv().splitlines(keepends=True)
-        kept = lines[:-config.num_slices]
-        with pytest.raises(ValueError, match=r"missing j = \[30\]"):
-            AllocationTrace.from_csv("".join(kept), config)
-
-    def test_json_missing_a_timestep_rejected(self, small_run):
-        # the same rule as the CSV reader
-        config, _, trace = small_run
-        doc = json.loads(trace.to_json())
-        doc["states"] = [s for s in doc["states"] if s["j"] != 5]
-        with pytest.raises(ValueError, match=r"missing j = \[5\]"):
-            AllocationTrace.from_json(json.dumps(doc), config)
-
     @pytest.mark.parametrize("cut", ["last", "middle", "swap"])
     def test_check_all_rejects_gaps_and_disorder(self, small_run, cut):
         config, _, trace = small_run

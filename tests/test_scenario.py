@@ -12,7 +12,6 @@ from prbslice.scenario import (
     ScenarioSpec,
     ScenarioTrace,
     gen_arrivals,
-    gen_scenario,
 )
 
 from helpers import two_premium_config
@@ -83,13 +82,13 @@ class TestGenScenario:
     def test_zero_departure_rate(self):
         config = preset_config("3-2-4")
         spec = preset_scenario_spec("3-2-4")
-        trace = gen_scenario(config, spec.per_service, 0.0, seed=3)
+        trace = ScenarioSpec(spec.per_service, 0.0).generate(config, 3)
         assert all(not f for row in trace.departures for f in row)
 
     def test_degenerate_empty_network(self):
         config = two_premium_config()
         per_service = {1: bernoulli(0.0), 2: bernoulli(0.0)}
-        scenario = gen_scenario(config, per_service, 0.5, seed=9)
+        scenario = ScenarioSpec(per_service, 0.5).generate(config, 9)
         trace = simulate(config, scenario)
         assert all(sl.usr == 0 for st in trace.states for sl in st.slices)
         # with nobody inside, every departure coin must have been dropped
@@ -136,7 +135,7 @@ class TestGenScenario:
     def test_missing_service_spec_rejected(self):
         config = preset_config("3-2-4")
         with pytest.raises(ScenarioError, match="no distribution spec"):
-            gen_scenario(config, {1: bernoulli(0.5)}, 0.1, seed=1)
+            ScenarioSpec({1: bernoulli(0.5)}, 0.1).generate(config, 1)
 
 
 class TestSerialization:
@@ -172,7 +171,10 @@ class TestSerialization:
         "{", "[1]", '{"departure_rate": 0.1}',
         '{"per_service": [], "departure_rate": 0.1}',
         '{"per_service": {"1": {"kind": "poisson"}}, "departure_rate": 0.1}',
-        '{"per_service": {}, "departure_rate": "x"}'])
+        '{"per_service": {}, "departure_rate": "x"}',
+        # float() would read these as rates 1.0 and 0.1
+        '{"per_service": {}, "departure_rate": true}',
+        '{"per_service": {}, "departure_rate": "0.1"}'])
     def test_malformed_spec_rejected(self, text):
         with pytest.raises(ScenarioError,
                            match="malformed scenario spec document"):
