@@ -16,7 +16,9 @@ One step runs a fixed pipeline:
 
 The trace this produces is the ground truth that the SMT-decoded trace is
 compared against, state for state, in memory.  A trace has one text form,
-the CSV of ``AllocationTrace.to_csv``; no code reads a trace back.
+the CSV of ``AllocationTrace.to_csv``; no code reads a trace back.  The
+simulator only rejects inputs its semantics cannot step; the trace
+invariants are checked by ``properties.check_all`` alone.
 """
 
 from __future__ import annotations
@@ -24,14 +26,16 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Sequence
 
 from .model import NetworkConfig
 
 
 class SimulationError(RuntimeError):
-    """An invariant or contract was violated during a step; the message
-    carries the timestep and the offending values."""
+    """The scenario asked for a step the semantics cannot take: a departure
+    from an empty slice, a usage increment with residual 0, or a ramp-down
+    or residual share driven below zero.  The message carries the timestep
+    and the offending values."""
 
 
 @dataclass(frozen=True)
@@ -66,55 +70,6 @@ TRACE_CSV_COLUMNS = (
     "j", "slice_id", "usr", "shr", "usg", "resi", "entries",
     "en", "lv", "top", "ramp", "pt_shr", "rp_shr", "rp_ovr",
 )
-
-
-def check_timesteps(states: Sequence[SystemState], horizon: int) -> None:
-    """Raise ValueError unless the states are j = 0..horizon, in order."""
-    got = [st.j for st in states]
-    want = list(range(horizon + 1))
-    if got != want:
-        missing = sorted(set(want) - set(got))
-        raise ValueError(f"trace states must be j = 0..{horizon} in order; "
-                         f"missing j = {missing}, got {len(got)} states")
-
-
-# State rules, shared by check_all and the simulator's self-check at every
-# step: each returns the violation text, or None when the state obeys it.
-
-def conservation(st: SystemState, total_prbs: int) -> Optional[str]:
-    """The slice shares plus the residual share use the whole budget."""
-    total = sum(sl.shr for sl in st.slices) + st.rp_shr
-    if total != total_prbs:
-        return f"sum of shares {total} != total_prbs {total_prbs}"
-
-
-def partition_consistency(st: SystemState,
-                          partitions: Mapping) -> Optional[str]:
-    """Each partition share is the sum of its member slices' shares."""
-    for k, members in partitions.items():
-        expected = sum(st.slices[i - 1].shr for i in members)
-        if st.pt_shr[k - 1] != expected:
-            return (f"partition {k}: pt_shr {st.pt_shr[k - 1]} != "
-                    f"sum of member shares {expected}")
-
-
-def slice_accounting(st: SystemState, ms: Sequence[int]) -> Optional[str]:
-    """Each slice's share is its usage plus its residual, and its usage is
-    ceil(users / m); ``ms`` holds each slice's m in slice id order."""
-    for idx, sl in enumerate(st.slices):
-        if sl.shr != sl.usg + sl.resi:
-            return (f"slice {idx + 1}: shr {sl.shr} != usg {sl.usg} + "
-                    f"resi {sl.resi}")
-        if sl.usg != -(-sl.usr // ms[idx]):
-            return (f"slice {idx + 1}: usg {sl.usg} != "
-                    f"ceil({sl.usr}/{ms[idx]})")
-
-
-def signal_exclusion(st: SystemState) -> Optional[str]:
-    """No slice raises top-up and ramp-down at once."""
-    for idx, sl in enumerate(st.slices):
-        if sl.top and sl.ramp:
-            return f"slice {idx + 1}: top and ramp both raised"
 
 
 @dataclass(frozen=True)
@@ -392,7 +347,7 @@ class ForwardSimulator:
                 f"pt_shr={pt}, prev rp_shr={prev.rp_shr}"
             )
 
-        state = SystemState(
+        return SystemState(
             j=j,
             slices=tuple(
                 SliceState(usr=usr[i], shr=shr[i], usg=usg[i], resi=resi[i],
@@ -404,23 +359,6 @@ class ForwardSimulator:
             rp_shr=rp,
             rp_ovr=rp_ovr,
         )
-        self._check_state(state)
-        return state
-
-    def _check_state(self, st: SystemState) -> None:
-        """Raise SimulationError if a variable is negative or a state rule
-        fails; the state dump in the message is built only then."""
-        cfg = self.config
-        msg = None
-        for idx, sl in enumerate(st.slices):
-            if min(sl.usr, sl.shr, sl.usg, sl.resi, sl.entries) < 0:
-                msg = f"slice {idx + 1}: negative variable"
-                break
-        msg = (msg or slice_accounting(st, self.ms) or signal_exclusion(st)
-               or partition_consistency(st, cfg.partitions)
-               or conservation(st, cfg.total_prbs))
-        if msg:
-            raise SimulationError(f"timestep {st.j}: {msg}; state dump: {st}")
 
 
 def simulate(config: NetworkConfig, scenario) -> AllocationTrace:

@@ -1,8 +1,10 @@
 """Trace invariant checks, experiment metrics, and the static baseline.
 
-check_all() evaluates each named invariant independently over a finished
-trace and reports the first violating timestep with the offending values, so
-a deliberately corrupted trace pinpoints exactly which property it breaks.
+check_all() is the one place the trace invariants are defined (the simulator
+only rejects inputs it cannot step).  It evaluates each named invariant
+independently over a finished trace and reports the first violating timestep
+with the offending values, so a corrupted trace pinpoints exactly which
+property it breaks.
 compute_metrics() derives the experiment quantities (residual-share series,
 action counts, offered throughput, premium share) from a trace.
 baseline_overprovision() is the comparison strawman: a fixed premium
@@ -22,27 +24,16 @@ from typing import Optional
 from .model import ConfigError, NetworkConfig, nominal_throughput
 from .oracle import (
     AllocationTrace, SimulationError, SliceState, SystemState, assign_users,
-    check_timesteps, conservation, partition_consistency, signal_exclusion,
-    slice_accounting, step_usage_residual, step_user_count,
-    step_window_entries,
+    step_usage_residual, step_user_count, step_window_entries,
 )
 
-# The ten trace invariants of the forward semantics, in reporting order.
-ORACLE_INVARIANTS = (
-    "conservation",
-    "partition-consistency",
-    "slice-accounting",
-    "share-immobility",
-    "share-quantization",
-    "signal-exclusion",
-    "fairness",
-    "optimality-band",
-    "topup-gating",
-    "argmin-assignment",
+# The trace invariants, in reporting order: the rows of check_all's table.
+ALL_INVARIANTS = (
+    "conservation", "partition-consistency", "slice-accounting",
+    "share-immobility", "share-quantization", "signal-exclusion", "fairness",
+    "optimality-band", "topup-gating", "argmin-assignment", "overuse-flag",
+    "nonnegativity",
 )
-
-# check_all additionally tracks the overuse flag against the residual floor.
-ALL_INVARIANTS = ORACLE_INVARIANTS + ("overuse-flag",)
 
 
 @dataclass(frozen=True)
@@ -89,57 +80,75 @@ class PropertyReport:
         return out.getvalue()
 
 
-def _mid_residual(sl: SliceState, cap: int) -> int:
-    """Residual right after the user-event update, before any share move."""
-    return sl.resi - (cap if sl.top else 0) + (cap if sl.ramp else 0)
-
-
 def check_all(trace: AllocationTrace, config: NetworkConfig) -> PropertyReport:
     """Evaluate every invariant over the complete trace; a trace whose
-    states are not j = 0..horizon in order raises ValueError."""
-    check_timesteps(trace.states, config.horizon)
+    states are not j = 0..horizon in order raises ValueError.
+
+    Each rule takes (previous state, current state), the previous one None
+    at j = 0, and returns the violation text or None."""
+    got = [st.j for st in trace.states]
+    want = list(range(config.horizon + 1))
+    if got != want:
+        raise ValueError(f"trace states must be j = 0..{config.horizon} in "
+                         f"order; missing j = {sorted(set(want) - set(got))}, "
+                         f"got {len(got)} states")
     caps = [sl.usage_cap for sl in config.slices]
     wins = [sl.t_win for sl in config.slices]
     ms = [sl.m for sl in config.slices]
     floor = config.overuse_floor
-    states = trace.states
-    steps = list(zip(states, states[1:]))       # (previous, current) pairs
-    results: dict[str, InvariantResult] = {}
 
-    def scan_pairs(name, fn, pairs):
-        """Record the first (previous, current) pair that fn flags."""
-        results[name] = InvariantResult(passed=True)
-        for prev, cur in pairs:
-            msg = fn(prev, cur)
-            if msg:
-                results[name] = InvariantResult(
-                    passed=False, first_violation_timestep=cur.j, details=msg)
-                return
+    def conservation(prev, cur):
+        # the slice shares plus the residual share use the whole budget
+        total = sum(sl.shr for sl in cur.slices) + cur.rp_shr
+        if total != config.total_prbs:
+            return f"sum of shares {total} != total_prbs {config.total_prbs}"
 
-    def scan(name, fn, *args):
-        scan_pairs(name, lambda _, st: fn(st, *args),
-                   [(None, st) for st in states])
+    def partition_consistency(prev, cur):
+        for k, members in config.partitions.items():
+            expected = sum(cur.slices[i - 1].shr for i in members)
+            if cur.pt_shr[k - 1] != expected:
+                return (f"partition {k}: pt_shr {cur.pt_shr[k - 1]} != "
+                        f"sum of member shares {expected}")
 
-    def share_immobility(prev: SystemState, cur: SystemState):
+    def slice_accounting(prev, cur):
+        # share = usage + residual, and usage = ceil(users / m)
+        for idx, sl in enumerate(cur.slices):
+            if sl.shr != sl.usg + sl.resi:
+                return (f"slice {idx + 1}: shr {sl.shr} != usg {sl.usg} + "
+                        f"resi {sl.resi}")
+            if sl.usg != -(-sl.usr // ms[idx]):
+                return (f"slice {idx + 1}: usg {sl.usg} != "
+                        f"ceil({sl.usr}/{ms[idx]})")
+
+    def share_immobility(prev, cur):
+        # j = 0 is a boundary of every window
         for idx in range(len(cur.slices)):
             if cur.j % wins[idx] != 0:
                 if cur.slices[idx].shr != prev.slices[idx].shr:
                     return (f"slice {idx + 1}: share moved mid-window "
                             f"({prev.slices[idx].shr} -> {cur.slices[idx].shr})")
 
-    def share_quantization(prev: SystemState, cur: SystemState):
+    def share_quantization(prev, cur):
+        if prev is None:
+            return None
         for idx in range(len(cur.slices)):
             delta = cur.slices[idx].shr - prev.slices[idx].shr
             if delta not in (0, caps[idx], -caps[idx]):
                 return (f"slice {idx + 1}: share moved by {delta}, "
                         f"cap is {caps[idx]}")
 
-    def fairness(prev: Optional[SystemState], cur: SystemState):
+    def signal_exclusion(prev, cur):
+        for idx, sl in enumerate(cur.slices):
+            if sl.top and sl.ramp:
+                return f"slice {idx + 1}: top and ramp both raised"
+
+    def fairness(prev, cur):
         for idx, sl in enumerate(cur.slices):
             if sl.resi < 0:
                 return f"slice {idx + 1}: negative residual {sl.resi}"
             if prev is not None and cur.j % wins[idx] == 0 and not cur.rp_ovr:
-                mid = _mid_residual(sl, caps[idx])
+                # the residual after the user events, before any share move
+                mid = sl.resi - caps[idx] * (sl.top - sl.ramp)
                 if mid <= caps[idx]:
                     grew = sl.shr - prev.slices[idx].shr
                     if not sl.top or grew != caps[idx]:
@@ -147,19 +156,21 @@ def check_all(trace: AllocationTrace, config: NetworkConfig) -> PropertyReport:
                                 f"{mid} <= cap {caps[idx]}) but share moved "
                                 f"by {grew}")
 
-    def optimality_band(st: SystemState):
-        for idx, sl in enumerate(st.slices):
+    def optimality_band(prev, cur):
+        for idx, sl in enumerate(cur.slices):
             if sl.ramp:
                 if not caps[idx] <= sl.resi < 2 * caps[idx]:
                     return (f"slice {idx + 1}: residual {sl.resi} outside "
                             f"[{caps[idx]}, {2 * caps[idx]}) after ramp-down")
 
-    def topup_gating(st: SystemState):
-        for idx, sl in enumerate(st.slices):
-            if sl.top and st.rp_ovr:
+    def topup_gating(prev, cur):
+        for idx, sl in enumerate(cur.slices):
+            if sl.top and cur.rp_ovr:
                 return f"slice {idx + 1}: top-up while residual overused"
 
-    def argmin_assignment(prev: SystemState, cur: SystemState):
+    def argmin_assignment(prev, cur):
+        if prev is None:
+            return None
         for svc in config.services:
             owned = config.service_slices(svc.service_id)
             entered = [sl.slice_id for sl in owned
@@ -180,27 +191,38 @@ def check_all(trace: AllocationTrace, config: NetworkConfig) -> PropertyReport:
                                 f"slice {c} (usr {c_usr}) over slice {s} "
                                 f"(usr {s_usr})")
 
-    def overuse_flag(prev: SystemState, cur: SystemState):
-        expected = prev.rp_shr < floor
-        if cur.rp_ovr != expected:
+    def overuse_flag(prev, cur):
+        if prev is not None and cur.rp_ovr != (prev.rp_shr < floor):
             return (f"rp_ovr {cur.rp_ovr} but previous residual share "
                     f"{prev.rp_shr} vs floor {floor}")
 
-    scan("conservation", conservation, config.total_prbs)
-    scan("partition-consistency", partition_consistency, config.partitions)
-    scan("slice-accounting", slice_accounting, ms)
-    scan_pairs("share-immobility", share_immobility, steps)
-    scan_pairs("share-quantization", share_quantization, steps)
-    scan("signal-exclusion", signal_exclusion)
-    # fairness also covers state 0, which has no previous state
-    scan_pairs("fairness", fairness, [(None, st) for st in states[:1]] + steps)
-    scan("optimality-band", optimality_band)
-    scan("topup-gating", topup_gating)
-    scan_pairs("argmin-assignment", argmin_assignment, steps)
-    scan_pairs("overuse-flag", overuse_flag, steps)
+    def nonnegativity(prev, cur):
+        for idx, sl in enumerate(cur.slices):
+            if min(sl.usr, sl.shr, sl.usg, sl.resi, sl.entries) < 0:
+                field = next(f for f in ("usr", "shr", "usg", "resi",
+                                         "entries") if getattr(sl, f) < 0)
+                return f"slice {idx + 1}: {field} {getattr(sl, field)} < 0"
+        for k, pt in enumerate(cur.pt_shr, start=1):
+            if pt < 0:
+                return f"partition {k}: pt_shr {pt} < 0"
+        if cur.rp_shr < 0:
+            return f"rp_shr {cur.rp_shr} < 0"
 
-    ordered = {name: results[name] for name in ALL_INVARIANTS}
-    return PropertyReport(results=ordered)
+    rules = (conservation, partition_consistency, slice_accounting,
+             share_immobility, share_quantization, signal_exclusion, fairness,
+             optimality_band, topup_gating, argmin_assignment, overuse_flag,
+             nonnegativity)
+    pairs = list(zip((None,) + trace.states, trace.states))
+    results = {}
+    for name, rule in zip(ALL_INVARIANTS, rules, strict=True):
+        results[name] = InvariantResult(passed=True)
+        for prev, cur in pairs:
+            msg = rule(prev, cur)
+            if msg:
+                results[name] = InvariantResult(
+                    passed=False, first_violation_timestep=cur.j, details=msg)
+                break
+    return PropertyReport(results=results)
 
 
 # ---------------------------------------------------------------------------

@@ -209,6 +209,31 @@ class TestRun:
             assert "departure flagged on an empty slice" in err
         assert not (tmp_path / "compare").exists()
 
+    def test_negative_user_count_is_a_property_failure(self, tmp_path,
+                                                       capsys):
+        # no arrivals, slice 2 departs at j=1: the simulator rejects the
+        # scenario, and the solver's trace holds usr = -1, which breaks
+        # nonnegativity alone (the last row, so the first name printed)
+        departures = [[0] * 4 for _ in range(4)]
+        departures[1][0] = 1
+        scenario_path = tmp_path / "empty_departure.json"
+        scenario_path.write_text(json.dumps({
+            "seed": 0, "arrivals": [[0] * 4] * 3, "departures": departures}))
+        for mode, code, err in (
+                ("smt", EXIT_PROPERTY, "property failure: nonnegativity"),
+                ("oracle", EXIT_VALIDATION, "validation error: timestep 1"),
+                ("differential", EXIT_VALIDATION,
+                 "validation error: timestep 1")):
+            assert main(["run", "--config", C324, "--horizon", "4",
+                         "--scenario", str(scenario_path), "--mode", mode,
+                         "--out", str(tmp_path / mode)]) == code, mode
+            assert capsys.readouterr().err.startswith(err), mode
+        rows = {r["invariant"]: r
+                for r in read_rows(tmp_path / "smt" / "properties.csv")}
+        assert rows["nonnegativity"] == {
+            "invariant": "nonnegativity", "passed": "0",
+            "first_violation_timestep": "1", "details": "slice 2: usr -1 < 0"}
+
     def test_pinned_scenario_round_trip(self, tmp_path):
         scenario_path = tmp_path / "pinned.json"
         assert main(["gen-scenario", "--config", C324, "--seed", "9",
@@ -601,10 +626,10 @@ ARTIFACT_SHA256 = {
                      "338736e66e9fb56e2ed83f37d03ca0eb",
     "diff.txt": "e3b0c44298fc1c149afbf4c8996fb924"
                 "27ae41e4649b934ca495991b7852b855",
-    "properties.json": "01184ed1f9bfc19bcb5c120f80374ccc"
-                       "91d6eeec9743d2fdb3a5a37db88bed17",
-    "properties.csv": "4d931d99467edeb442a3ab8efbcd2042"
-                      "3af2cc1ba933c754c5dafcb7fd8baa7e",
+    "properties.json": "45620aff58567b5ba9d9fd532eed238d"
+                       "9d12740392be2b1738aa2e1949accbb1",
+    "properties.csv": "74b49dea9ee430b686f29f8bfb939a40"
+                      "5e684d38beac6c75cc606e39fa01c8af",
     "metrics.json": "a5e7eef4207a2f533bf131786b8e4a9f"
                     "f615c295a37355a67d04668c01a8ea7a",
     "metrics.csv": "5b747f50e4f57b19b38f3e361c44dd6e"

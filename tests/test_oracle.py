@@ -1,10 +1,10 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from prbslice.cli import run_pipeline
 from prbslice.oracle import (
     ForwardSimulator,
     SimulationError,
-    SystemState,
     TRACE_CSV_COLUMNS,
     assign_users,
     diff_traces,
@@ -238,23 +238,18 @@ class TestSimulate:
         with pytest.raises(SimulationError, match="empty slice"):
             simulate(config, bad)
 
-    def test_self_check_reports_the_check_all_rule(self, monkeypatch):
-        # a residual that absorbs one PRB too many breaks conservation
+    def test_state_rule_fault_is_a_property_failure(self, monkeypatch):
+        # a residual that absorbs one PRB too many breaks conservation; the
+        # simulator steps on and check_all names the rule
         monkeypatch.setattr("prbslice.oracle.residual_adjust",
                             lambda pt_prev, pt_now, rp_prev: rp_prev + 1)
         config = single_slice_config(horizon=2)
-        with pytest.raises(SimulationError, match=(
-                r"^timestep 1: sum of shares 9 != total_prbs 8; "
-                r"state dump: SystemState\(j=1, ")):
-            simulate(config, empty_scenario(config))
-
-    def test_state_dump_built_only_on_failure(self, monkeypatch):
-        def no_repr(self):
-            raise AssertionError("state dump built for a valid state")
-
-        monkeypatch.setattr(SystemState, "__repr__", no_repr)
-        config = preset_config("3-2-4", horizon=12)
-        preset_scenario_spec("3-2-4").generate(config, 1)
+        out = run_pipeline(config, empty_scenario(config), "oracle", None, 1)
+        assert out.status == "property"
+        assert out.report.failing()[0] == "conservation"
+        result = out.report.results["conservation"]
+        assert result.first_violation_timestep == 1
+        assert result.details == "sum of shares 9 != total_prbs 8"
 
     def test_initial_state_shape(self, small_run):
         config, _, trace = small_run

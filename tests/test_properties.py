@@ -12,7 +12,6 @@ from prbslice.oracle import simulate
 from prbslice.presets import preset_config
 from prbslice.properties import (
     ALL_INVARIANTS,
-    ORACLE_INVARIANTS,
     baseline_overprovision,
     check_all,
     compute_metrics,
@@ -81,33 +80,35 @@ class TestTimesteps:
 
 # SHA-256 of properties.json + properties.csv for each injected fault below
 REPORT_SHA256 = {
-    "conservation": "ab9e9210f37093e7efe6a2b3d690ec52"
-                    "2094ec2f7b4e0fb287ef717aaf295335",
-    "partition-consistency": "5de8305e7a44844f1e7f7de5f349633e"
-                             "d080b5992236f0e024e7a0272825a6f1",
-    "slice-accounting": "bbd92aa3868b35e931eae39f30fb2ad8"
-                        "2f5657a198bd6237a89837691d79c80b",
-    "share-immobility": "54755adb9b6ebc2915b8d2b0cec0b9c5"
-                        "f088941ca78a1e1301ec58e18ecaf9ee",
-    "share-quantization": "1bf61d420aebae522c0e173641697989"
-                          "2d2f6acf3a2106776e7b9473ef47d800",
-    "signal-exclusion": "d61dec80febe407af6bd73957181f259"
-                        "7ed89df162b488f1a5b269eaf53bad87",
-    "fairness": "97102697e4d99e72beb448daf86aea56"
-                "c26a914c258754464ffff63d0e5c68f5",
-    "optimality-band": "10c2584cbeef43c0d582abe308adc1c8"
-                       "6f7b0fc7fd820fa8a6102622c3919639",
-    "topup-gating": "d44e1adf6c43ef319f594307646983f0"
-                    "9007dc2c9410465c275b2423f88c1c22",
-    "argmin-assignment": "e7a1a653864c7137387681a593efdda1"
-                         "7263f0b616a3bc64e80a088a814bf3eb",
-    "overuse-flag": "7f95b3df7b7f2f419c7b446c37d55b25"
-                    "13ce257d8cececb21a3502f43458e325",
+    "conservation": "f3f9739cdaeb9df5839dfd19dc6e9be0"
+                    "2863dd1e4c7d58b53b97deec347a4df1",
+    "partition-consistency": "6ec98e7f25d36b53a24ed30b26b329d1"
+                             "dbcfc6d19832037f8e32964d9e40aa1f",
+    "slice-accounting": "1aa60d5fa1ee70dfa0417193e7d80cc1"
+                        "d600af99be056c24d817a8bd8054f824",
+    "share-immobility": "1f248af11856a740a2a73f8a81ac1f0c"
+                        "3a806af2b64d528d7ec5232fbda22149",
+    "share-quantization": "f9ef29e3b998dd094b052ce85b07300f"
+                          "f33c4af9ecea875adbda72634a4cf234",
+    "signal-exclusion": "641d5c7f39c72d6d3fe3518008f3c83a"
+                        "ef254ca31d64e4f4aa592148172e49de",
+    "fairness": "00bc32db749042323ed1760083bebcf2"
+                "1dbabdf089c4c8fd419f59f3657f54bb",
+    "optimality-band": "d1cd694d9e2575e1742ee56d63303f43"
+                       "ffbf872e8e1b877530ce53a8528b42b1",
+    "topup-gating": "ac41572ef7fdbd63bba2e2e4d05e0105"
+                    "01e0595c116aa44b0f0b5b3ddda69b28",
+    "argmin-assignment": "45839aeda13afa747e8b99365c7cb4cc"
+                         "010142489e1ff44594a2a1b6cd762d18",
+    "overuse-flag": "301333cc801e8c928cd078a2273aac13"
+                    "9722225699364eb86a436596a9554463",
+    "nonnegativity": "f31f38b961f367150a899393da57978e"
+                     "e6b94e87711561eb233c89852e5c5217",
 }
 
 
 class TestInjectedFaults:
-    """Each of the ten semantics invariants must catch its dedicated fault."""
+    """Each invariant must catch its dedicated fault."""
 
     def check_fails(self, trace, config, invariant, at=None):
         report = check_all(trace, config)
@@ -188,15 +189,23 @@ class TestInjectedFaults:
         bad = mutate_slice(bad, j=1, slice_id=3, en=True)
         self.check_fails(bad, config, "argmin-assignment", at=1)
 
-    def test_overuse_flag_tracking(self, small_run):
+    def test_overuse_flag(self, small_run):
         config, _, trace = small_run
         bad = mutate_state(trace, j=5, rp_ovr=True)
         self.check_fails(bad, config, "overuse-flag", at=5)
 
-    def test_all_ten_covered(self):
+    def test_nonnegativity(self, small_run):
+        config, _, trace = small_run
+        # slice 1 is empty at j=1 and m=2, so usg stays ceil(-1/2) = 0
+        assert trace.states[1].slices[0].usr == 0
+        bad = mutate_slice(trace, j=1, slice_id=1, usr=-1)
+        assert check_all(bad, config).failing() == ["nonnegativity"]
+        self.check_fails(bad, config, "nonnegativity", at=1)
+
+    def test_every_invariant_covered(self):
         names = {name[len("test_"):].replace("_", "-")
                  for name in dir(self) if name.startswith("test_")}
-        assert set(ORACLE_INVARIANTS) <= names
+        assert set(ALL_INVARIANTS) <= names
 
 
 class TestReportSerialization:
