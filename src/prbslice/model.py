@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from typing import Mapping
 
@@ -94,16 +94,11 @@ def nominal_throughput(prb_usage: int) -> float:
 
 @dataclass(frozen=True)
 class ServiceSpec:
-    """One service type: identity, priority, and multi-partition provision."""
+    """One service type: identity and priority."""
 
     service_id: int
     name: str
     priority_rank: int
-    provision: bool
-
-    def __post_init__(self) -> None:
-        if self.service_id < 1:
-            raise ValueError("service_id must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -115,15 +110,6 @@ class SliceSpec:
     partition_id: int
     t_win: int
     m: int
-
-    def __post_init__(self) -> None:
-        if self.slice_id < 1:
-            raise ValueError("slice_id must be >= 1")
-        if self.t_win < 1 or self.m < 1:
-            raise ValueError(
-                f"slice {self.slice_id}: t_win and m must be >= 1, "
-                f"got ({self.t_win}, {self.m})"
-            )
 
     @property
     def usage_cap(self) -> int:
@@ -141,7 +127,6 @@ class NetworkConfig:
     ascending.  ``overuse_fraction`` is the residual-partition floor expressed
     as a fraction of ``total_prbs``; the residual partition counts as overused
     whenever its share drops strictly below ``ceil(fraction * total_prbs)``.
-    ``timestep_minutes`` is reporting metadata only.
     """
 
     services: tuple[ServiceSpec, ...]
@@ -150,7 +135,6 @@ class NetworkConfig:
     total_prbs: int
     horizon: int
     overuse_fraction: Fraction = Fraction(1, 2)
-    timestep_minutes: Fraction = Fraction(1)
     name: str = ""
 
     def __post_init__(self) -> None:
@@ -219,8 +203,10 @@ class NetworkConfig:
             problems.append("horizon must be >= 1")
         if not 0 < self.overuse_fraction <= 1:
             problems.append("overuse_fraction must lie in (0, 1]")
-        if self.timestep_minutes <= 0:
-            problems.append("timestep_minutes must be positive")
+        for sl in self.slices:
+            if sl.t_win < 1 or sl.m < 1:
+                problems.append(f"slice {sl.slice_id}: t_win and m must be "
+                                f">= 1, got ({sl.t_win}, {sl.m})")
         if problems:
             raise ConfigError("; ".join(problems))
 
@@ -251,14 +237,8 @@ class NetworkConfig:
                 problems.append(f"slice {sl.slice_id} names unknown service "
                                 f"{sl.service_id}")
         for svc in self.services:
-            owned = self.service_slices(svc.service_id)
-            if not owned:
+            if not self.service_slices(svc.service_id):
                 problems.append(f"service {svc.service_id} owns no slice")
-            if svc.provision != (len(owned) > 1):
-                problems.append(
-                    f"service {svc.service_id}: provision flag {svc.provision} "
-                    f"inconsistent with owning {len(owned)} slice(s)"
-                )
 
         # Priority ordering: a higher-priority slice never has a larger
         # per-user PRB appetite than a lower-priority one (smaller m = more
@@ -289,33 +269,8 @@ class NetworkConfig:
     # -- JSON ------------------------------------------------------------
 
     def to_json(self) -> str:
-        doc = {
-            "name": self.name,
-            "services": [
-                {
-                    "service_id": s.service_id,
-                    "name": s.name,
-                    "priority_rank": s.priority_rank,
-                    "provision": s.provision,
-                }
-                for s in self.services
-            ],
-            "slices": [
-                {
-                    "slice_id": s.slice_id,
-                    "service_id": s.service_id,
-                    "partition_id": s.partition_id,
-                    "t_win": s.t_win,
-                    "m": s.m,
-                }
-                for s in self.slices
-            ],
-            "partitions": {str(k): list(v) for k, v in self.partitions.items()},
-            "total_prbs": self.total_prbs,
-            "horizon": self.horizon,
-            "overuse_fraction": str(self.overuse_fraction),
-            "timestep_minutes": str(self.timestep_minutes),
-        }
+        doc = asdict(self)
+        doc["overuse_fraction"] = str(self.overuse_fraction)
         return json.dumps(doc, indent=2)
 
     @classmethod
@@ -325,32 +280,20 @@ class NetworkConfig:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
         try:
-            slices = tuple(
-                SliceSpec(
-                    slice_id=json_field(s["slice_id"], int),
-                    service_id=json_field(s["service_id"], int),
-                    partition_id=json_field(s["partition_id"], int),
-                    t_win=json_field(s["t_win"], int),
-                    m=json_field(s["m"], int),
-                )
-                for s in doc["slices"]
-            )
-            services = []
-            for s in doc["services"]:
-                sid = json_field(s["service_id"], int)
-                owned = sum(1 for sl in slices if sl.service_id == sid)
-                services.append(
+            return cls(
+                services=tuple(
                     ServiceSpec(
-                        service_id=sid,
+                        service_id=json_field(s["service_id"], int),
                         name=str(s["name"]),
                         priority_rank=json_field(s["priority_rank"], int),
-                        provision=json_field(s.get("provision", owned > 1),
-                                             bool),
                     )
-                )
-            cfg = cls(
-                services=tuple(services),
-                slices=slices,
+                    for s in doc["services"]
+                ),
+                slices=tuple(
+                    SliceSpec(**{f.name: json_field(s[f.name], int)
+                                 for f in fields(SliceSpec)})
+                    for s in doc["slices"]
+                ),
                 partitions={
                     int(k): tuple(json_field(i, int) for i in v)
                     for k, v in doc["partitions"].items()
@@ -358,12 +301,10 @@ class NetworkConfig:
                 total_prbs=json_field(doc["total_prbs"], int),
                 horizon=json_field(doc["horizon"], int),
                 overuse_fraction=Fraction(doc.get("overuse_fraction", "1/2")),
-                timestep_minutes=Fraction(doc.get("timestep_minutes", "1")),
                 name=str(doc.get("name", "")),
             )
         except (KeyError, TypeError, AttributeError, ValueError) as exc:
             raise ConfigError(f"malformed config document: {exc!r}") from exc
-        return cfg
 
 
 def constraint_count_bound(config: NetworkConfig) -> int:

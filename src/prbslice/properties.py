@@ -17,7 +17,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -55,17 +55,7 @@ class PropertyReport:
         return [name for name, r in self.results.items() if not r.passed]
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                name: {
-                    "passed": r.passed,
-                    "first_violation_timestep": r.first_violation_timestep,
-                    "details": r.details,
-                }
-                for name, r in self.results.items()
-            },
-            indent=2,
-        )
+        return json.dumps(asdict(self)["results"], indent=2)
 
     def to_csv(self) -> str:
         out = io.StringIO()
@@ -143,10 +133,10 @@ def check_all(trace: AllocationTrace, config: NetworkConfig) -> PropertyReport:
                 return f"slice {idx + 1}: top and ramp both raised"
 
     def fairness(prev, cur):
+        if prev is None or cur.rp_ovr:
+            return None
         for idx, sl in enumerate(cur.slices):
-            if sl.resi < 0:
-                return f"slice {idx + 1}: negative residual {sl.resi}"
-            if prev is not None and cur.j % wins[idx] == 0 and not cur.rp_ovr:
+            if cur.j % wins[idx] == 0:
                 # the residual after the user events, before any share move
                 mid = sl.resi - caps[idx] * (sl.top - sl.ramp)
                 if mid <= caps[idx]:
@@ -242,19 +232,7 @@ class MetricsBundle:
     blocked_entries: int
 
     def to_json(self) -> str:
-        return json.dumps({
-            "residual_share": list(self.residual_share),
-            "residual_fraction": list(self.residual_fraction),
-            "topup_count": {str(k): v for k, v in self.topup_count.items()},
-            "rampdown_count": {str(k): v
-                               for k, v in self.rampdown_count.items()},
-            "topup_total": self.topup_total,
-            "rampdown_total": self.rampdown_total,
-            "throughput_offered": [list(row)
-                                   for row in self.throughput_offered],
-            "premium_share_pct": list(self.premium_share_pct),
-            "blocked_entries": self.blocked_entries,
-        }, indent=2)
+        return json.dumps(asdict(self), indent=2)
 
     def to_csv(self) -> str:
         """Per-timestep table; per-slice throughput appears as thr_<i>."""

@@ -19,12 +19,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping
 
 import numpy as np
 
 from .model import NetworkConfig, json_field
+from .oracle import ForwardSimulator
 
 _KINDS = ("lognormal", "poisson", "bernoulli")
 
@@ -72,10 +73,6 @@ class DistributionSpec:
             p = self.params.get("p")
             if p is None or not 0 <= p <= 1:
                 raise ScenarioError("bernoulli p must lie in [0, 1]")
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "params": dict(self.params),
-                "threshold": self.threshold}
 
     @classmethod
     def from_dict(cls, doc: Mapping) -> "DistributionSpec":
@@ -161,8 +158,6 @@ class ScenarioSpec:
         slice is zero, so the forward simulator can treat an empty-slice
         departure as a hard contract violation.
         """
-        from .oracle import ForwardSimulator  # local import, avoids module cycle
-
         check_coverage(config, self.per_service)
 
         horizon = config.horizon
@@ -200,14 +195,7 @@ class ScenarioSpec:
         )
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "per_service": {str(mu): spec.to_dict()
-                                for mu, spec in self.per_service.items()},
-                "departure_rate": self.departure_rate,
-            },
-            indent=2,
-        )
+        return json.dumps(asdict(self), indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "ScenarioSpec":

@@ -11,7 +11,7 @@ def single_slice_config(t_win=2, m=1, total_prbs=8, horizon=8) -> NetworkConfig:
     """One service, one partition, one slice; small budget so the residual
     floor trips quickly."""
     return NetworkConfig(
-        services=(ServiceSpec(1, "eMBB-Premium", 1, provision=False),),
+        services=(ServiceSpec(1, "eMBB-Premium", 1),),
         slices=(SliceSpec(1, 1, 1, t_win=t_win, m=m),),
         partitions={1: (1,)},
         total_prbs=total_prbs,
@@ -25,8 +25,8 @@ def two_premium_config(total_prbs=60, horizon=12) -> NetworkConfig:
     exercises the argmin assignment."""
     return NetworkConfig(
         services=(
-            ServiceSpec(1, "eMBB-Premium", 1, provision=True),
-            ServiceSpec(2, "eMBB-Normal", 2, provision=False),
+            ServiceSpec(1, "eMBB-Premium", 1),
+            ServiceSpec(2, "eMBB-Normal", 2),
         ),
         slices=(
             SliceSpec(1, 1, 1, t_win=4, m=2),
@@ -47,7 +47,7 @@ def wide_config(K, r) -> NetworkConfig:
     owners = [1 + i % 2 for i in range(K * r)]
     return NetworkConfig(
         services=tuple(
-            ServiceSpec(mu, name, mu, provision=owners.count(mu) > 1)
+            ServiceSpec(mu, name, mu)
             for mu, name in ((1, "eMBB-Premium"), (2, "eMBB-Normal"))),
         slices=tuple(
             SliceSpec(i, mu, 1 + (i - 1) // r,

@@ -15,6 +15,7 @@ from prbslice.cli import (
     EXIT_VALIDATION,
     main,
 )
+from prbslice.properties import InvariantResult, PropertyReport
 from prbslice.scenario import ScenarioTrace
 from prbslice.solver import solve
 
@@ -41,6 +42,12 @@ def starved_config() -> str:
     doc = json.loads(Path(C324).read_text())
     doc.update(total_prbs=30, horizon=60, overuse_fraction="1/50")
     return json.dumps(doc)
+
+
+def failing_check(trace, config):
+    """A ``check_all`` that reports one forced violation."""
+    return PropertyReport(results={"conservation": InvariantResult(
+        passed=False, first_violation_timestep=1, details="forced")})
 
 
 def spec_with(service: str, **params) -> str:
@@ -150,12 +157,6 @@ class TestRun:
         assert metrics["blocked_entries"] == 14
 
     def test_property_failure_exit_code(self, tmp_path, monkeypatch):
-        from prbslice.properties import InvariantResult, PropertyReport
-
-        def failing_check(trace, config):
-            return PropertyReport(results={"conservation": InvariantResult(
-                passed=False, first_violation_timestep=1, details="forced")})
-
         monkeypatch.setattr("prbslice.cli.check_all", failing_check)
         code = main(["run", "--config", C324, "--seed", "1", "--horizon",
                      "5", "--out", str(tmp_path / "x")])
@@ -578,6 +579,31 @@ class TestSweep:
         rows = read_rows(out)
         assert len(rows) == 2
         assert all(r["status"].startswith("error:") for r in rows)
+
+    def test_rejected_scenarios_exit_nonzero_with_full_csv(self, tmp_path):
+        # the generator's replay rejects both cells; each keeps its row
+        config = tmp_path / "config_3_2_4.json"
+        config.write_text(starved_config())
+        sibling = Path(C324).with_suffix(".scenario.json")
+        (tmp_path / sibling.name).write_text(sibling.read_text())
+        out = tmp_path / "starved.csv"
+        assert main(["sweep", "--config", str(config), "--total-prbs", "30",
+                     "--seeds", "2", "--out", str(out)]) == EXIT_SOLVER
+        assert [r["status"] for r in read_rows(out)] == [
+            "error: timestep 24: residual partition share went negative "
+            "(-1); pt_shr=[18, 13], prev rp_shr=2",
+            "error: timestep 30: residual partition share went negative "
+            "(-3); pt_shr=[18, 15], prev rp_shr=2",
+        ]
+
+    def test_property_failure_exits_nonzero_with_full_csv(self, tmp_path,
+                                                          monkeypatch):
+        monkeypatch.setattr("prbslice.cli.check_all", failing_check)
+        out = tmp_path / "property.csv"
+        assert main(["sweep", "--config", C324, "--total-prbs", "200",
+                     "--seeds", "2", "--out", str(out)]) == EXIT_PROPERTY
+        assert [r["status"] for r in read_rows(out)] == [
+            "property:conservation"] * 2
 
 
 class TestCompare:

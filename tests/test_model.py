@@ -86,7 +86,7 @@ class TestConstraintCountBound:
     def one_partition(n, t_win=4, m=2, total_prbs=10 ** 6, horizon=30):
         """One service whose n slices share one partition."""
         return NetworkConfig(
-            services=(ServiceSpec(1, "svc", 1, provision=True),),
+            services=(ServiceSpec(1, "svc", 1),),
             slices=tuple(SliceSpec(i, 1, 1, t_win, m) for i in range(1, n + 1)),
             partitions={1: tuple(range(1, n + 1))},
             total_prbs=total_prbs,
@@ -142,18 +142,22 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="no partition"):
             bad.validate()
 
-    def test_provision_flag_consistency(self):
-        cfg = two_premium_config()
-        services = (replace(cfg.services[0], provision=False),) + cfg.services[1:]
-        with pytest.raises(ConfigError, match="provision"):
-            replace(cfg, services=services).validate()
-
     def test_priority_consumption_ordering(self):
         cfg = two_premium_config()
         # premium (rank 1) must not have a larger m than normal (rank 2)
         slices = (replace(cfg.slices[0], m=5),) + cfg.slices[1:]
         with pytest.raises(ConfigError, match="priority ordering"):
             replace(cfg, slices=slices).validate()
+
+    @pytest.mark.parametrize("field", ["t_win", "m"])
+    def test_window_parameters_at_least_one(self, field):
+        cfg = two_premium_config()
+        slices = cfg.slices[:1] + (replace(cfg.slices[1], **{field: 0}),) \
+            + cfg.slices[2:]
+        with pytest.raises(ConfigError, match=r"slice 2: t_win and m must "
+                           r"be >= 1, got \((6, 0|0, 3)\)") as exc:
+            replace(cfg, slices=slices).validate()
+        assert not isinstance(exc.value, BudgetError)
 
     def test_horizon_at_least_one(self):
         with pytest.raises(ConfigError, match="horizon must be >= 1") as exc:
@@ -197,22 +201,15 @@ class TestConfigJson:
             again = NetworkConfig.from_json(cfg.to_json())
             assert again == cfg
 
-    def test_provision_derived_when_absent(self):
-        cfg = preset_config("3-2-4")
-        doc = cfg.to_json().replace('"provision": true,', '')
-        again = NetworkConfig.from_json(doc)
-        assert again.services[0].provision is True
-
     def test_malformed_rejected(self):
         with pytest.raises(ConfigError):
             NetworkConfig.from_json("{not json")
         with pytest.raises(ConfigError):
             NetworkConfig.from_json('{"services": []}')
-        # int() or bool() would read these as 199, 2, 1, true and 1
+        # int() would read these as 199, 2, 1 and 2
         for edit in (lambda doc: doc.update(total_prbs=199.7),
                      lambda doc: doc["slices"][0].update(t_win=2.9),
                      lambda doc: doc.update(horizon=True),
-                     lambda doc: doc["services"][0].update(provision="false"),
                      lambda doc: doc["partitions"].update({"1": [1, 2.0]})):
             doc = json.loads(preset_config("3-2-4").to_json())
             edit(doc)

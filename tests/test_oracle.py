@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -282,6 +284,17 @@ class TestTraceSerialization:
         diffs = diff_traces(trace, other)
         assert len(diffs) == 1
         assert "j=3" in diffs[0] and "slice=2" in diffs[0]
+
+    def test_diff_reports_length_partition_and_residual(self, small_run):
+        _, _, trace = small_run
+        from helpers import bump_pt_shr, mutate_state
+        shorter = replace(trace, states=trace.states[:-1])
+        assert diff_traces(trace, shorter) == [
+            "trace lengths differ: 31 vs 30"]
+        assert diff_traces(trace, bump_pt_shr(trace, j=4, k=2, delta=-1)) \
+            == ["j=4 pt_shr: (6, 5) != (6, 4)"]
+        assert diff_traces(trace, mutate_state(trace, j=5, rp_ovr=True)) \
+            == ["j=5 residual: (189, False) != (189, True)"]
 
 
 class TestStepperDeterminism:

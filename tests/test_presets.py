@@ -1,8 +1,10 @@
+import json
 from pathlib import Path
 
 import pytest
 
 from prbslice import presets
+from prbslice.model import NetworkConfig
 from prbslice.presets import (
     PRESET_NAMES,
     config_scenario_spec,
@@ -10,6 +12,7 @@ from prbslice.presets import (
     preset_config,
     preset_scenario_spec,
 )
+from prbslice.scenario import ScenarioSpec
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
@@ -68,3 +71,14 @@ def test_calibration_keeps_residual_un_overused():
     trace = simulate(config, scenario)
     assert all(not st.rp_ovr for st in trace.states)
     assert all(st.rp_shr >= config.overuse_floor for st in trace.states)
+
+
+@pytest.mark.parametrize(
+    "path", sorted(Path(presets.__file__).with_name("configs").glob("*.json")),
+    ids=lambda path: path.name)
+def test_bundled_document_holds_only_what_its_loader_reads(path):
+    # a key the loader does not read is lost on the way back
+    loader = (ScenarioSpec if path.name.endswith(".scenario.json")
+              else NetworkConfig)
+    text = path.read_text()
+    assert json.loads(loader.from_json(text).to_json()) == json.loads(text)

@@ -202,6 +202,15 @@ class TestInjectedFaults:
         assert check_all(bad, config).failing() == ["nonnegativity"]
         self.check_fails(bad, config, "nonnegativity", at=1)
 
+    def test_negative_residual_fails_only_the_rows_that_define_it(
+            self, small_run):
+        config, _, trace = small_run
+        # shr = usg + resi still holds; usg no longer equals ceil(usr / m)
+        st = trace.states[3].slices[2]
+        bad = mutate_slice(trace, j=3, slice_id=3, resi=-1, usg=st.shr + 1)
+        assert check_all(bad, config).failing() == [
+            "slice-accounting", "nonnegativity"]
+
     def test_every_invariant_covered(self):
         names = {name[len("test_"):].replace("_", "-")
                  for name in dir(self) if name.startswith("test_")}

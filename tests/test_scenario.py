@@ -1,5 +1,6 @@
 import hashlib
 import math
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -39,7 +40,7 @@ class TestDistributionSpec:
 
     def test_dict_round_trip(self):
         spec = DistributionSpec("poisson", {"rate": 3.0}, 0.2)
-        assert DistributionSpec.from_dict(spec.to_dict()) == spec
+        assert DistributionSpec.from_dict(asdict(spec)) == spec
 
 
 class TestGenArrivals:

@@ -796,6 +796,25 @@ class TestBacktracking:
         assert "(define-fun p1 () Bool true)" in out
         assert ":splits 3" in out and ":conflicts 2" in out
 
+    def test_undo_takes_back_watches_and_new_terms(self):
+        # a = true is tried first: the else branch splits into new terms,
+        # (=> d b) starts watching d and b, and (not c) clashes with c;
+        # undoing that branch must drop those terms and watches before
+        # a = false forces d
+        out = run_script("""
+            (declare-const a Bool) (declare-const b Bool)
+            (declare-const c Bool) (declare-const d Bool)
+            (assert (ite (not a) d (and (=> d b) (and (not c) c))))
+            (check-sat) (get-model) (get-info :all-statistics)
+        """)
+        assert out == (
+            "sat\n(\n"
+            "  (define-fun a () Bool false)\n"
+            "  (define-fun b () Bool false)\n"
+            "  (define-fun c () Bool false)\n"
+            "  (define-fun d () Bool true)\n"
+            ")\n(:propagations 7\n :splits 1\n :conflicts 1)\n")
+
 
 class TestSearchAgainstEnumeration:
     @settings(max_examples=300, deadline=None)
