@@ -3,8 +3,7 @@
 Each timestep contributes one block of assertions:
 
 * slice layer: user-count, window-entry, and usage/residual updates, then the
-  top-up / ramp-down signal rules at window boundaries and their mutual
-  exclusion;
+  top-up / ramp-down signal rules at window boundaries;
 * partition layer: at its window boundary each slice moves share and
   residual by its own cap (up on top-up, down on ramp-down, held otherwise),
   and each partition share moves by the sum of its members' moves;
@@ -22,9 +21,8 @@ one definition -- a scenario flag, an initial value, or an update ``(= x e)``
 and ``e`` names only symbols defined earlier in the script.  Guarded cases
 are folded into ``ite`` terms, so a user event adds ``(ite en 1 0)`` and a
 boundary move is ``cap`` times ``(ite top 1 0)`` minus ``(ite ramp 1 0)``;
-away from a boundary ``frame`` definitions carry the shares over.  Only
-the ``signal-conflict`` guards define nothing.  Every assertion carries a
-provenance tag; the vocabulary is the TAGS tuple below.
+away from a boundary ``frame`` definitions carry the shares over.  Every
+assertion is a definition with a provenance tag, one of the TAGS below.
 
 The scenario flags (``ser_e`` arrivals, ``sl_lv`` departures) are not
 asserted: they are the script's assumptions, one literal each, passed to
@@ -56,8 +54,10 @@ from .scenario import ScenarioTrace
 # the paper's analytic bound on the per-timestep constraints.
 BOUND_MULTIPLIER = 2
 
-# ``scenario`` tags no assertion since the flags became assumptions; it
-# stays in the vocabulary, whose per-tag counts are reported by name.
+# ``scenario`` and ``signal-conflict`` tag no assertion: the flags became
+# assumptions, and top and ramp are disjoint for every cap >= 1 (a row of
+# ``properties.check_all``).  Both stay in the vocabulary, whose per-tag
+# counts are reported by name.
 TAGS = (
     "initial", "scenario", "closure", "frame",
     "user-count", "window-entries", "usage-residual",
@@ -242,7 +242,6 @@ def _encode_layout(config: NetworkConfig):
             else:
                 emit("closure", f"(not {top})")
                 emit("closure", f"(not {ramp})")
-            emit("signal-conflict", f"(not (and {top} {ramp}))")
 
         # partition layer: a boundary slice moves share and residual by its
         # own cap, the partition share by the sum of its members' moves

@@ -239,6 +239,8 @@ class NetworkConfig:
         for svc in self.services:
             if not self.service_slices(svc.service_id):
                 problems.append(f"service {svc.service_id} owns no slice")
+        if problems:
+            raise ConfigError("; ".join(sorted(set(problems))))
 
         # Priority ordering: a higher-priority slice never has a larger
         # per-user PRB appetite than a lower-priority one (smaller m = more
@@ -246,13 +248,12 @@ class NetworkConfig:
         by_rank = {s.service_id: s.priority_rank for s in self.services}
         for a in self.slices:
             for b in self.slices:
-                if by_rank.get(a.service_id, 0) < by_rank.get(b.service_id, 0):
-                    if a.m > b.m:
-                        problems.append(
-                            f"priority ordering violated: slice {a.slice_id} "
-                            f"(rank {by_rank[a.service_id]}, m={a.m}) vs slice "
-                            f"{b.slice_id} (rank {by_rank[b.service_id]}, m={b.m})"
-                        )
+                if by_rank[a.service_id] < by_rank[b.service_id] and a.m > b.m:
+                    problems.append(
+                        f"priority ordering violated: slice {a.slice_id} "
+                        f"(rank {by_rank[a.service_id]}, m={a.m}) vs slice "
+                        f"{b.slice_id} (rank {by_rank[b.service_id]}, m={b.m})"
+                    )
         if problems:
             raise ConfigError("; ".join(sorted(set(problems))))
 
@@ -284,7 +285,7 @@ class NetworkConfig:
                 services=tuple(
                     ServiceSpec(
                         service_id=json_field(s["service_id"], int),
-                        name=str(s["name"]),
+                        name=json_field(s["name"], str),
                         priority_rank=json_field(s["priority_rank"], int),
                     )
                     for s in doc["services"]
@@ -300,8 +301,9 @@ class NetworkConfig:
                 },
                 total_prbs=json_field(doc["total_prbs"], int),
                 horizon=json_field(doc["horizon"], int),
-                overuse_fraction=Fraction(doc.get("overuse_fraction", "1/2")),
-                name=str(doc.get("name", "")),
+                overuse_fraction=Fraction(json_field(
+                    doc.get("overuse_fraction", "1/2"), str, int)),
+                name=json_field(doc.get("name", ""), str),
             )
         except (KeyError, TypeError, AttributeError, ValueError) as exc:
             raise ConfigError(f"malformed config document: {exc!r}") from exc

@@ -152,8 +152,6 @@ def assign_users(
 def step_user_count(prev_usr: int, en: bool, lv: bool) -> int:
     """User count update; a departure from an empty slice is a contract
     violation (scenario generation must have filtered it)."""
-    if prev_usr < 0:
-        raise SimulationError(f"negative user count {prev_usr}")
     if lv and prev_usr == 0:
         raise SimulationError("departure flagged on an empty slice")
     if en and not lv:

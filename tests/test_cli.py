@@ -191,14 +191,21 @@ class TestRun:
             capsys.readouterr().err
         assert artifacts(out) == {"model.smt2", "verdict.json"}
 
-    def test_scenario_rejected_by_simulator_exit_code(self, tmp_path,
-                                                      capsys):
+    @staticmethod
+    def empty_departure_scenario(tmp_path):
+        """3-2-4, seed 1, T=4, with slice 2 departing at j=1, where it is
+        empty and, in the solver's trace, a user enters."""
         scenario_path = tmp_path / "bad.json"
         assert main(["gen-scenario", "--config", C324, "--seed", "1",
                      "--horizon", "4", "--out", str(scenario_path)]) == EXIT_OK
         doc = json.loads(scenario_path.read_text())
         doc["departures"][1][0] = True      # slice 2 is empty at j=1
         scenario_path.write_text(json.dumps(doc))
+        return scenario_path
+
+    def test_scenario_rejected_by_simulator_exit_code(self, tmp_path,
+                                                      capsys):
+        scenario_path = self.empty_departure_scenario(tmp_path)
         for command in ("run", "compare"):
             out = tmp_path / command
             code = main([command, "--config", C324, "--horizon", "4",
@@ -209,6 +216,15 @@ class TestRun:
             assert err.startswith("validation error: timestep 1"), command
             assert "departure flagged on an empty slice" in err
         assert not (tmp_path / "compare").exists()
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the encoding "
+                       "admits en = lv = 1 on an empty slice")
+    def test_scenario_rejected_by_simulator_fails_in_smt_mode(self,
+                                                             tmp_path):
+        scenario_path = self.empty_departure_scenario(tmp_path)
+        assert main(["run", "--config", C324, "--horizon", "4",
+                     "--scenario", str(scenario_path), "--mode", "smt",
+                     "--out", str(tmp_path / "smt")]) != EXIT_OK
 
     def test_negative_user_count_is_a_property_failure(self, tmp_path,
                                                        capsys):
@@ -644,8 +660,8 @@ def sha256(path):
 ARTIFACT_SHA256 = {
     "trace.csv": "0a8ee14c062e85d2452245e0088ed359"
                  "338736e66e9fb56e2ed83f37d03ca0eb",
-    "model.smt2": "b75f94d92559d150fe38202b381a6f14"
-                  "f5b189c099ded8607dae6973b7353e87",
+    "model.smt2": "46c7d1baf56c09e7ba0dc5e8105ccb74"
+                  "25bd5c882789f20cb413c09787bb97df",
     "verdict.json": "9056fd9b7c79762c42bc0ec666bb4e12"
                     "173e6fc866668b534fb2c4380cab4779",
     "smt_trace.csv": "0a8ee14c062e85d2452245e0088ed359"

@@ -148,6 +148,32 @@ class TestWideLayouts:
         assert check_all(trace, config).all_passed
 
 
+def size_cells():
+    for name in PRESET_NAMES:
+        for horizon in (30, 70):
+            config = preset_config(name, horizon=horizon)
+            yield pytest.param(config, preset_scenario_spec(name),
+                               id=f"{name}-T{horizon}")
+    for K, r in ((8, 1), (6, 2), (3, 7)):
+        config = wide_config(K, r)
+        yield pytest.param(config, default_scenario_spec(config),
+                           id=f"wide-{K}x{r}")
+    yield pytest.param(golden_inputs()[0], None, id="golden")
+
+
+@pytest.mark.parametrize("config, spec", size_cells())
+def test_assertion_count_formula(config, spec):
+    """Five initial values per slice, one per partition and the residual;
+    then per step: seven per slice (entry, user count, window entries,
+    usage/residual, two signals, share move), one per partition, the
+    overuse flag and the residual move."""
+    scenario = (golden_inputs()[1] if spec is None
+                else spec.generate(config, 1))
+    cs = encode(config, scenario)
+    n, k, t = config.num_slices, len(config.partitions), config.horizon
+    assert len(cs.assertions) == 5 * n + k + 1 + t * (7 * n + k + 2)
+
+
 def definitional_cells():
     for name in PRESET_NAMES:
         spec = preset_scenario_spec(name)
@@ -196,12 +222,7 @@ class TestDefinitionalForm:
             (term,) = parse(tokenize(formula))
             parts = term[1:] if term[0] == "and" else [term]
             defs = [definition(part, declared) for part in parts]
-            if None in defs:
-                # only the signal-conflict guards define nothing, and they
-                # read symbols already defined
-                assert tag == "signal-conflict" and not any(defs), formula
-                assert symbols(term) <= defined, formula
-                continue
+            assert None not in defs, (tag, formula)
             for sym, rhs in defs:
                 assert sym not in defined, f"{sym} defined twice"
                 assert symbols(*rhs) <= defined, (sym, symbols(*rhs) - defined)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from prbslice.cli import EXIT_OK, main
+from prbslice.cli import EXIT_OK, EXIT_VALIDATION, main
 from prbslice.model import (
     BudgetError,
     ConfigError,
@@ -168,6 +168,29 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             replace(single_slice_config(), overuse_fraction=Fraction(0)).validate()
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc["slices"][3].update(service_id=9),
+         "slice 4 names unknown service 9"),
+        (lambda doc: doc.update(total_prbs=0), "total_prbs must be >= 1"),
+        (lambda doc: doc["partitions"]["2"].append(2),
+         "slice 2 appears in partitions 1 and 2"),
+        (lambda doc: doc["services"].append(
+            {"service_id": 4, "name": "URLLC", "priority_rank": 2}),
+         "service 4 owns no slice"),
+    ], ids=["unknown-service", "no-prbs", "two-partitions", "no-slice"])
+    def test_rule_rejects_edited_preset(self, tmp_path, capsys, edit,
+                                        message):
+        doc = json.loads(preset_config("3-2-4").to_json())
+        edit(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match=message) as exc:
+            NetworkConfig.from_json(path.read_text()).validate()
+        assert not isinstance(exc.value, BudgetError)
+        assert main(["validate-config", "--config", str(path)]) == \
+            EXIT_VALIDATION
+        assert message in capsys.readouterr().err
+
     def test_overuse_floor_rounds_up(self):
         cfg = replace(single_slice_config(total_prbs=8),
                       overuse_fraction=Fraction(1, 3))
@@ -206,12 +229,24 @@ class TestConfigJson:
             NetworkConfig.from_json("{not json")
         with pytest.raises(ConfigError):
             NetworkConfig.from_json('{"services": []}')
-        # int() would read these as 199, 2, 1 and 2
+        # int() would read these as 199, 2, 1 and 2, Fraction() the next
+        # two as 3602879701896397/36028797018963968 and 1, and str() the
+        # names as "None" and "5"
         for edit in (lambda doc: doc.update(total_prbs=199.7),
                      lambda doc: doc["slices"][0].update(t_win=2.9),
                      lambda doc: doc.update(horizon=True),
-                     lambda doc: doc["partitions"].update({"1": [1, 2.0]})):
+                     lambda doc: doc["partitions"].update({"1": [1, 2.0]}),
+                     lambda doc: doc.update(overuse_fraction=0.1),
+                     lambda doc: doc.update(overuse_fraction=True),
+                     lambda doc: doc.update(name=None),
+                     lambda doc: doc["services"][0].update(name=5)):
             doc = json.loads(preset_config("3-2-4").to_json())
             edit(doc)
             with pytest.raises(ConfigError, match="malformed config document"):
                 NetworkConfig.from_json(json.dumps(doc))
+        # a fraction is a string or an integer
+        for fraction, expected in (("1/2", Fraction(1, 2)), (1, Fraction(1))):
+            doc = json.loads(preset_config("3-2-4").to_json())
+            doc.update(overuse_fraction=fraction)
+            assert (NetworkConfig.from_json(json.dumps(doc)).overuse_fraction
+                    == expected)

@@ -202,6 +202,30 @@ class TestInjectedFaults:
         assert check_all(bad, config).failing() == ["nonnegativity"]
         self.check_fails(bad, config, "nonnegativity", at=1)
 
+    def check_row(self, trace, config, invariant, at, details):
+        result = check_all(trace, config).results[invariant]
+        assert (result.passed, result.first_violation_timestep,
+                result.details) == (False, at, details)
+
+    def test_argmin_assignment_rejects_two_entries(self, premium_run):
+        config, _, trace = premium_run
+        bad = mutate_slice(trace, j=1, slice_id=3, en=True)
+        self.check_row(bad, config, "argmin-assignment", 1,
+                       "service 1: several slices admitted a user at once "
+                       "([1, 3])")
+
+    def test_nonnegativity_of_partition_share(self, small_run):
+        config, _, trace = small_run
+        pt = trace.states[1].pt_shr
+        bad = bump_pt_shr(trace, j=1, k=1, delta=-pt[0] - 1)
+        self.check_row(bad, config, "nonnegativity", 1,
+                       "partition 1: pt_shr -1 < 0")
+
+    def test_nonnegativity_of_residual_share(self, small_run):
+        config, _, trace = small_run
+        bad = mutate_state(trace, j=1, rp_shr=-1)
+        self.check_row(bad, config, "nonnegativity", 1, "rp_shr -1 < 0")
+
     def test_negative_residual_fails_only_the_rows_that_define_it(
             self, small_run):
         config, _, trace = small_run

@@ -740,7 +740,7 @@ class TestStatistics:
         config = preset_config("5-4-13", total_prbs=200, horizon=70)
         scenario = preset_scenario_spec("5-4-13").generate(config, 1)
         stats = statistics(emit_smtlib(encode(config, scenario)))
-        assert stats == {":propagations": 11410, ":splits": 0,
+        assert stats == {":propagations": 10500, ":splits": 0,
                          ":conflicts": 0}
 
     @pytest.mark.parametrize("name, horizon", [
