@@ -7,23 +7,24 @@ Subcommands
     gen-scenario     write a pinned scenario JSON for later runs
     validate-config  check a config document and exit
 
-``run``, ``compare``, ``sweep`` and the acceptance batch share
-``run_pipeline``, and ``STATUS_MAP`` turns its status into the exit code of
-``run`` and ``compare`` (which runs it in oracle mode): 0 success, 2
-validation failure, 3 property failure, 4 solver failure (not run,
-unsat/unknown/timeout, or an unreadable output or model), 5 trace mismatch
-in differential mode; and into the ``sweep`` status column (``ok``,
-``property:*``, ``solver:*``, ``error:*``).  A validation failure is an
-input file that is missing or unreadable, a config, scenario or scenario
-spec document that does not load, or a scenario the simulator rejects,
-pinned or generated; an input that does not load writes no output.
-``sweep`` reads each config file and its sibling spec once, before any
-cell runs, and exits 2 with no CSV if one does not load or the spec lacks
-one of the config's services; (config, budget) pairs over budget are
-skipped with a note.  A ``--seeds`` or ``--timeout`` that is not a finite
-number above 0 is a usage error.  Otherwise it writes its CSV in
-full, then exits 4 if any cell is ``solver:*`` or ``error:*``, else 3 if
-any cell is ``property:*``.
+``run``, ``compare`` and ``sweep`` share ``run_pipeline``, and
+``STATUS_MAP`` turns its status into the exit code of ``run`` and
+``compare`` (which runs it in oracle mode): 0 success, 2 validation
+failure, 3 property failure, 4 solver failure (not run, unsat/unknown/
+timeout, or an unreadable output or model), 5 trace mismatch in
+differential mode; and into the ``sweep`` status column (``ok``,
+``property:*``, ``diff:*``, ``solver:*``, ``error:*``).  A validation
+failure is an input file that is missing or unreadable, a config, scenario
+or scenario spec document that does not load, or a scenario the simulator
+rejects, pinned or generated; an input that does not load writes no output.
+``sweep`` runs its cells in ``oracle`` or ``differential`` mode; the
+acceptance batch is one differential sweep.  It reads each config file and
+its sibling spec once, before any cell runs, and exits 2 with no CSV if
+one does not load or lacks a service's spec; (config, budget) pairs over
+budget are skipped with a note.  A ``--seeds`` or ``--timeout`` that is
+not a finite number above 0 is a usage error.  Otherwise it writes its
+CSV in full, then exits in stage order: 4 if any cell is ``solver:*`` or
+``error:*``, else 5 if any is ``diff:*``, else 3 if any is ``property:*``.
 """
 
 from __future__ import annotations
@@ -157,13 +158,13 @@ def run_pipeline(config: NetworkConfig, scenario: ScenarioTrace, mode: str,
 
 
 # pipeline status -> exit code and stderr line of `run`, and the status
-# column of `sweep` (which has no diff stage)
+# column of `sweep`
 STATUS_MAP = {
     "ok": (EXIT_OK, "", "ok"),
     "invalid": (EXIT_VALIDATION, "validation error: {}", "error: {}"),
     "solver": (EXIT_SOLVER, "solver failure: {}", "error: {}"),
     "verdict": (EXIT_SOLVER, "solver failure: verdict {}", "solver:{}"),
-    "diff": (EXIT_DIFF, "trace mismatch: {}", None),
+    "diff": (EXIT_DIFF, "trace mismatch: {}", "diff:{}"),
     "property": (EXIT_PROPERTY, "property failure: {}", "property:{}"),
 }
 
@@ -295,11 +296,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         writer.writeheader()
         writer.writerows(rows)
     print(f"wrote {len(rows)} rows to {out}")
-    statuses = [row["status"] for row in rows]
-    if any(st.startswith(("solver:", "error:")) for st in statuses):
-        return EXIT_SOLVER
-    if any(st.startswith("property:") for st in statuses):
-        return EXIT_PROPERTY
+    for prefixes, code in ((("solver:", "error:"), EXIT_SOLVER),
+                           ("diff:", EXIT_DIFF), ("property:", EXIT_PROPERTY)):
+        if any(row["status"].startswith(prefixes) for row in rows):
+            return code
     return EXIT_OK
 
 
@@ -420,7 +420,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                          help="PRB budget (repeatable)")
     p_sweep.add_argument("--seeds", type=_positive(int), default=30,
                          help="number of seeds, 1..N")
-    p_sweep.add_argument("--mode", choices=("oracle", "smt"),
+    p_sweep.add_argument("--mode", choices=("oracle", "differential"),
                          default="oracle")
     p_sweep.add_argument("--solver-cmd")
     p_sweep.add_argument("--horizon", type=int,

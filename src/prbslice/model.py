@@ -43,6 +43,14 @@ def json_field(value, *kinds: type):
     return value
 
 
+def json_key(key: str) -> int:
+    """The integer a JSON object key names in canonical decimal: ``int()``
+    would also read " 1", "+2" and "1_0", and "02" as a second "2"."""
+    if str(int(key)) != key:
+        raise ValueError(f"expected a canonical integer key, got {key!r}")
+    return int(key)
+
+
 def max_window_usage(t_win: int, m: int) -> int:
     """Largest possible PRB usage of a slice within one window.
 
@@ -197,6 +205,8 @@ class NetworkConfig:
             if ids != list(range(1, len(ids) + 1)):
                 problems.append(f"{kind} ids must be contiguous "
                                 f"1..{len(ids)}, got {ids}")
+        if not self.slices:
+            problems.append("a config needs at least one slice")
         if self.total_prbs < 1:
             problems.append("total_prbs must be >= 1")
         if self.horizon < 1:
@@ -296,7 +306,7 @@ class NetworkConfig:
                     for s in doc["slices"]
                 ),
                 partitions={
-                    int(k): tuple(json_field(i, int) for i in v)
+                    json_key(k): tuple(json_field(i, int) for i in v)
                     for k, v in doc["partitions"].items()
                 },
                 total_prbs=json_field(doc["total_prbs"], int),

@@ -24,7 +24,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .model import NetworkConfig, json_field
+from .model import NetworkConfig, json_field, json_key
 from .oracle import ForwardSimulator
 
 _KINDS = ("lognormal", "poisson", "bernoulli")
@@ -202,7 +202,7 @@ class ScenarioSpec:
         try:
             doc = json.loads(text)
             return cls(
-                per_service={int(mu): DistributionSpec.from_dict(d)
+                per_service={json_key(mu): DistributionSpec.from_dict(d)
                              for mu, d in doc["per_service"].items()},
                 departure_rate=json_field(doc["departure_rate"],
                                           int, float),

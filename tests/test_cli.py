@@ -13,6 +13,7 @@ from prbslice.cli import (
     EXIT_PROPERTY,
     EXIT_SOLVER,
     EXIT_VALIDATION,
+    RunOutcome,
     main,
 )
 from prbslice.properties import InvariantResult, PropertyReport
@@ -23,6 +24,11 @@ CONFIGS = Path(__file__).parent.parent / "src" / "prbslice" / "configs"
 C324 = str(CONFIGS / "config_3_2_4.json")
 C5310 = str(CONFIGS / "config_5_3_10.json")
 C5413 = str(CONFIGS / "config_5_4_13.json")
+
+
+# validates only if a config may have no slice; every mode would crash on it
+EMPTY_CONFIG = (b'{"services": [], "slices": [], "partitions": {}, '
+                b'"total_prbs": 10, "horizon": 3}')
 
 
 def duplicate_slice_id_config() -> str:
@@ -316,6 +322,10 @@ class TestMalformedInput:
         pytest.param("validate-config",
                      b'{"services": [], "slices": [], "partitions": []}',
                      ["--config", "BAD"], id="partitions-not-a-mapping"),
+        pytest.param("validate-config", EMPTY_CONFIG, ["--config", "BAD"],
+                     id="validate-no-slice"),
+        pytest.param("run", EMPTY_CONFIG, ["--seed", "1", "--config", "BAD"],
+                     id="run-no-slice"),
         pytest.param("run", b'{"arrivals": []}', ["--scenario", "BAD"],
                      id="run-scenario-without-seed"),
         pytest.param("run", b'{"departure_rate": 0.1}',
@@ -452,8 +462,8 @@ class TestSweep:
     def test_non_positive_count_or_timeout_is_a_usage_error(
             self, tmp_path, capsys, command, option, value):
         out = tmp_path / "out"
-        argv = [command, "--config", C324, "--mode", "smt", "--out", str(out),
-                option, value]
+        argv = [command, "--config", C324, "--mode", "differential",
+                "--out", str(out), option, value]
         argv += (["--total-prbs", "200"] if command == "sweep"
                  else ["--seed", "1"])
         with pytest.raises(SystemExit) as exc:
@@ -542,10 +552,21 @@ class TestSweep:
         assert len(rows) == 1
         assert float(rows[0]["final_rp_fraction"]) >= 0.5
 
-    def test_smt_mode_records_wall_time(self, tmp_path):
+    def test_smt_mode_is_a_usage_error(self, tmp_path, capsys):
+        # a sweep cell is a generated scenario, which the simulator always
+        # accepts, so `differential` checks all that `smt` would
         out = tmp_path / "smt.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", C324, "--total-prbs", "200",
+                  "--seeds", "1", "--mode", "smt", "--out", str(out)])
+        assert exc.value.code == EXIT_VALIDATION
+        assert "invalid choice: 'smt'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_differential_mode_records_wall_time(self, tmp_path):
+        out = tmp_path / "differential.csv"
         assert main(["sweep", "--config", C324, "--total-prbs", "200",
-                     "--seeds", "1", "--mode", "smt",
+                     "--seeds", "1", "--mode", "differential",
                      "--out", str(out)]) == EXIT_OK
         rows = read_rows(out)
         assert float(rows[0]["solver_wall_time"]) > 0
@@ -555,7 +576,8 @@ class TestSweep:
         # trend is reported, not asserted
         out = tmp_path / "scale.csv"
         assert main(["sweep", "--config", C324, "--total-prbs", "200",
-                     "--seeds", "1", "--mode", "smt", "--horizon", "10",
+                     "--seeds", "1", "--mode", "differential",
+                     "--horizon", "10",
                      "--out", str(out)]) == EXIT_OK
         rows = read_rows(out)
         assert len(rows) == 1
@@ -574,7 +596,7 @@ class TestSweep:
         # the pool forks while this process has a warm solver child, which
         # each worker must leave alone and replace with its own
         solve("(check-sat)")
-        for mode in ("oracle", "smt"):
+        for mode in ("oracle", "differential"):
             serial, parallel = tmp_path / "s.csv", tmp_path / "p.csv"
             args = ["sweep", "--config", C324, "--total-prbs", "200",
                     "--seeds", "3", "--mode", mode]
@@ -588,7 +610,7 @@ class TestSweep:
     def test_solver_failure_exits_nonzero_with_full_csv(self, tmp_path):
         out = tmp_path / "fail.csv"
         code = main(["sweep", "--config", C324, "--total-prbs", "200",
-                     "--seeds", "2", "--mode", "smt",
+                     "--seeds", "2", "--mode", "differential",
                      "--solver-cmd", "definitely-not-a-solver-xyz",
                      "--out", str(out)])
         assert code == EXIT_SOLVER
@@ -620,6 +642,47 @@ class TestSweep:
                      "--seeds", "2", "--out", str(out)]) == EXIT_PROPERTY
         assert [r["status"] for r in read_rows(out)] == [
             "property:conservation"] * 2
+
+    def test_diff_mismatch_exits_nonzero_with_full_csv(self, tmp_path,
+                                                       monkeypatch):
+        from helpers import mutate_slice
+        import prbslice.cli as cli_mod
+
+        real_simulate = cli_mod.simulate
+        monkeypatch.setattr("prbslice.cli.simulate", lambda c, s: mutate_slice(
+            real_simulate(c, s), j=1, slice_id=1, usr=99))
+        out = tmp_path / "diff.csv"
+        assert main(["sweep", "--config", C324, "--total-prbs", "200",
+                     "--seeds", "2", "--horizon", "5", "--mode",
+                     "differential", "--out", str(out)]) == EXIT_DIFF
+        rows = read_rows(out)
+        assert len(rows) == 2
+        for row in rows:
+            assert row["status"].startswith("diff:1 difference(s), first ")
+            assert float(row["solver_wall_time"]) > 0
+            metrics = {k: v for k, v in row.items()
+                       if k not in ("config", "total_prbs", "seed", "status",
+                                    "solver_wall_time")}
+            assert set(metrics.values()) == {""}
+
+    @pytest.mark.parametrize("statuses, code", [
+        (("solver", "diff"), EXIT_SOLVER),
+        (("diff", "verdict"), EXIT_SOLVER),
+        (("property", "diff"), EXIT_DIFF),
+    ], ids=["error-over-diff", "solver-over-diff", "diff-over-property"])
+    def test_exit_follows_stage_order(self, tmp_path, monkeypatch, statuses,
+                                      code):
+        # seed s gets statuses[s - 1]; the earliest failing stage sets the
+        # exit code whatever the row order
+        monkeypatch.setattr(
+            "prbslice.cli.run_pipeline",
+            lambda config, scenario, *rest: RunOutcome().stop(
+                statuses[scenario.seed - 1], "x"))
+        out = tmp_path / "mixed.csv"
+        assert main(["sweep", "--config", C324, "--total-prbs", "200",
+                     "--seeds", "2", "--horizon", "3", "--mode",
+                     "differential", "--out", str(out)]) == code
+        assert len(read_rows(out)) == 2
 
 
 class TestCompare:

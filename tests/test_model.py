@@ -239,7 +239,15 @@ class TestConfigJson:
                      lambda doc: doc.update(overuse_fraction=0.1),
                      lambda doc: doc.update(overuse_fraction=True),
                      lambda doc: doc.update(name=None),
-                     lambda doc: doc["services"][0].update(name=5)):
+                     lambda doc: doc["services"][0].update(name=5),
+                     # int() would read these as 1, 2 and 10, and "02" as
+                     # the key "2" it repeats
+                     lambda doc: doc.update(partitions={
+                         " 1": [1, 2], "2": [3, 4]}),
+                     lambda doc: doc.update(partitions={
+                         "1": [1, 2], "+2": [3, 4]}),
+                     lambda doc: doc.update(partitions={"1_0": [1, 2]}),
+                     lambda doc: doc["partitions"].update({"02": [3, 4]})):
             doc = json.loads(preset_config("3-2-4").to_json())
             edit(doc)
             with pytest.raises(ConfigError, match="malformed config document"):

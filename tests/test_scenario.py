@@ -22,6 +22,9 @@ def bernoulli(p, threshold=0.5):
     return DistributionSpec("bernoulli", {"p": p}, threshold)
 
 
+BERNOULLI = '{"kind": "bernoulli", "params": {"p": 0.5}, "threshold": 0.5}'
+
+
 class TestDistributionSpec:
     def test_threshold_bounds(self):
         for bad in (0.0, 1.0, -0.2, 1.5):
@@ -175,7 +178,13 @@ class TestSerialization:
         '{"per_service": {}, "departure_rate": "x"}',
         # float() would read these as rates 1.0 and 0.1
         '{"per_service": {}, "departure_rate": true}',
-        '{"per_service": {}, "departure_rate": "0.1"}'])
+        '{"per_service": {}, "departure_rate": "0.1"}',
+        # int() would read these keys as services 1, 2 and 10, and "02" as
+        # the service "2" it repeats
+        *(f'{{"per_service": {{"{key}": {BERNOULLI}}}, "departure_rate": 0}}'
+          for key in (" 1", "+2", "1_0")),
+        f'{{"per_service": {{"2": {BERNOULLI}, "02": {BERNOULLI}}}, '
+        f'"departure_rate": 0}}'])
     def test_malformed_spec_rejected(self, text):
         with pytest.raises(ScenarioError,
                            match="malformed scenario spec document"):

@@ -619,6 +619,19 @@ class TestSolving:
         assert "(define-fun top () Bool true)" in out
         assert "(define-fun shr () Int 10)" in out
 
+    @pytest.mark.parametrize("model", [{"a": True, "n": 2},
+                                       {"a": False, "n": 1}],
+                             ids=["breaks-assertion", "breaks-assumption"])
+    def test_wrong_model_is_unknown(self, monkeypatch, model):
+        # the soundness guard checks a search's model against every
+        # assertion and assumption, and withholds one that breaks either
+        monkeypatch.setattr(smtlib_solver, "search",
+                            lambda prop: ("sat", dict(model)))
+        out = run_script("(declare-const a Bool)(declare-const n Int)"
+                         "(assert (= n 1))(check-sat-assuming (a))"
+                         "(get-model)")
+        assert out == 'unknown\n(error "model is not available")\n'
+
 
 def statistics(text: str) -> dict:
     form = parse(tokenize(run_script(text + "(get-info :all-statistics)")))[-1]
